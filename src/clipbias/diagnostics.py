@@ -22,7 +22,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import noise as noise_mod
 from .noise import Empirical, IsotropicGaussian, SphericalMixture, prob_norm_below
@@ -131,18 +131,21 @@ def assert_symmetric(model, tol=1e-12):
         return
     if not isinstance(model, Empirical):
         raise TypeError(f"cannot verify symmetry of {type(model).__name__}")
-    merged = {}
-    atoms = model.atoms + 0.0
-    for atom, w in zip(atoms, model.weights):
-        key = atom.tobytes()
-        merged[key] = (atom, merged.get(key, (atom, 0.0))[1] + w)
-    for key, (atom, w) in merged.items():
-        neg_key = (-atom + 0.0).tobytes()
-        if neg_key not in merged or abs(merged[neg_key][1] - w) > tol:
-            raise ValueError(
-                f"model is not symmetric about the origin: atom {atom.tolist()} "
-                "has no equally weighted negation"
-            )
+    atoms, weights, _ = noise_mod._merge_atoms(model.atoms, model.weights)
+    n = atoms.shape[0]
+    # Merging the cloud with its negation at negated weights leaves
+    # w(a) - w(-a) on row a; a negation that is not an atom lands on a
+    # row past the first n.
+    _, gaps, inverse = noise_mod._merge_atoms(
+        np.concatenate([atoms, -atoms]), np.concatenate([weights, -weights])
+    )
+    bad = (inverse[n:] >= n) | (np.abs(gaps[:n]) > tol)
+    if np.any(bad):
+        atom = atoms[np.argmax(bad)]
+        raise ValueError(
+            f"model is not symmetric about the origin: atom {atom.tolist()} "
+            "has no equally weighted negation"
+        )
 
 
 def symmetric_lower_bound(v, model, c, z=0.25, stream=None, mc_samples=0):
@@ -195,7 +198,7 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
     prob_terms = np.empty(len(mix.weights))
     for i, (w, center, scale) in enumerate(zip(mix.weights, mix.centers, mix.scales)):
         cnorm = float(np.linalg.norm(center))
-        prob_terms[i] = _centered_mass(z * c, scale, mix.dim)
+        prob_terms[i] = noise_mod._centered_ball_mass(z * c, scale, mix.dim)
         if cnorm == 0.0 or nv == 0.0:
             continue
         cos_align = float(np.dot(center, v)) / (cnorm * nv)
@@ -224,16 +227,12 @@ def clipping_bias(v, p, q, c):
     support, so shared atoms cancel by weight difference.
     """
     v = as_vector(v)
-    support = {}
-    for emp, sign in ((p, 1.0), (q, -1.0)):
+    for emp in (p, q):
         if not isinstance(emp, Empirical):
             raise TypeError("clipping_bias needs empirical models")
-        atoms = emp.atoms + 0.0
-        for atom, w in zip(atoms, emp.weights):
-            entry = support.setdefault(atom.tobytes(), [atom, 0.0])
-            entry[1] += sign * w
-    atoms = np.array([entry[0] for entry in support.values()])
-    weights = np.array([entry[1] for entry in support.values()])
+    atoms, weights, _ = noise_mod._merge_atoms(
+        np.concatenate([p.atoms, q.atoms]), np.concatenate([p.weights, -q.weights])
+    )
     scores = clip_scores(v, atoms, c)
     return float(np.dot(weights, scores))
 
@@ -310,7 +309,7 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     if k <= 0.0:
         raise ValueError(f"perturbation scale k must be > 0, got {k}")
     dim = v.shape[0]
-    prob = _centered_mass(z * c, k, dim)
+    prob = noise_mod._centered_ball_mass(z * c, k, dim)
     nv = float(np.linalg.norm(v))
     lower = nv * min(nv, (1.0 - z) * c) * prob
     if isinstance(model, Empirical) and dim == 1 and not mc_samples:
@@ -496,12 +495,6 @@ def _expected_scores(V, emp, c):
             scores = np.where(n2 > 0.0, inner * factor, 0.0)
             out[lo:hi] = scores @ weights
     return out
-
-
-def _centered_mass(radius, scale, dim):
-    if scale == 0.0:
-        return 1.0 if radius > 0.0 else 0.0
-    return float(stats.chi2.cdf((radius / scale) ** 2, df=dim))
 
 
 def _check_z(z):

@@ -287,25 +287,28 @@ def symmetrize(model):
         return model
     if not isinstance(model, Empirical):
         raise TypeError(f"symmetrize supports Empirical models, got {type(model).__name__}")
-    # +0.0 normalizes -0.0 so negation cannot split numerically equal atoms.
-    atoms = model.atoms + 0.0
-    index = {}
-    out_atoms = []
-    out_weights = []
+    # each atom directly followed by its negation, each at half weight
+    both = np.stack([model.atoms, -model.atoms], axis=1).reshape(-1, model.dim)
+    atoms, weights, _ = _merge_atoms(both, np.repeat(model.weights / 2.0, 2))
+    return Empirical(atoms, weights)
 
-    def add(atom, w):
-        key = atom.tobytes()
-        if key not in index:
-            index[key] = len(out_atoms)
-            out_atoms.append(atom)
-            out_weights.append(0.0)
-        out_weights[index[key]] += w
 
-    for atom, w in zip(atoms, model.weights):
-        half = w / 2.0
-        add(atom, half)
-        add(-atom + 0.0, half)
-    return Empirical(np.array(out_atoms), np.array(out_weights))
+def _merge_atoms(atoms, weights):
+    """Merge exactly equal rows of an atom cloud.
+
+    Returns ``(merged_atoms, merged_weights, inverse)``: distinct rows in
+    first-encounter order, each with the sum of its weights taken in
+    input order, and the merged row of every input row. Rows are
+    compared after ``+ 0.0``, so -0.0 and 0.0 components are one atom.
+    """
+    atoms = np.asarray(atoms, dtype=np.float64) + 0.0
+    _, first, inverse = np.unique(atoms, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    inverse = rank[inverse.reshape(-1)]
+    merged = np.bincount(inverse, weights=weights, minlength=order.shape[0])
+    return atoms[first[order]], merged, inverse
 
 
 def prob_norm_below(model, radius, stream=None, mc_samples=0):

@@ -1,11 +1,12 @@
 """Clipped SGD, DP-SGD, and the pre-clipping perturbation variant.
 
-One core loop serves all three entry points:
+One engine implements the update rule
 
     x_{t+1} = x_t - alpha * ( (1/m) sum_i clip(grad_i + k*zeta_i, c) + sigma*Z_t )
 
-with per-sample gradients drawn by uniform-with-replacement subsampling
-(deterministic full passes when the batch covers the dataset),
+for R seeds in lockstep; a single run is its R = 1 case. Per-sample
+gradients come from uniform-with-replacement subsampling
+(deterministic full passes when the batch covers the dataset), with
 optional per-sample perturbation noise k*zeta, and optional additive
 Gaussian noise sigma*Z. The three noise sources live on separate
 substreams of the run seed (0: subsampling, 1: perturbation, 2:
@@ -19,7 +20,7 @@ stream position (the modulo bias is ~n * 2^-53).
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,18 +70,18 @@ class OptimizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.clip > 0.0:
-            raise ValueError(f"clip must be > 0, got {self.clip}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0.0 < self.clip < np.inf:
+            raise ValueError(f"clip must be finite and > 0, got {self.clip}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.batch is not None and self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.sigma is not None and self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.k < 0.0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        if self.sigma is not None and not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0.0 <= self.k < np.inf:
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
 
 @dataclass
@@ -134,7 +135,7 @@ def clipped_sgd(problem, config):
         raise ValueError("clipped_sgd requires sigma = 0; use dp_sgd")
     if config.k != 0.0:
         raise ValueError("clipped_sgd requires k = 0; use dp_sgd_perturbed")
-    return _run(problem, config, sigma=0.0, k=0.0)
+    return _single_run(problem, config, sigma=0.0, k=0.0)
 
 
 def dp_sgd(problem, config, budget=None):
@@ -145,12 +146,26 @@ def dp_sgd(problem, config, budget=None):
     """
     if config.k != 0.0:
         raise ValueError("dp_sgd requires k = 0; use dp_sgd_perturbed")
-    return _run(problem, config, sigma=_resolve_sigma(config, budget), k=0.0)
+    return _single_run(problem, config, sigma=_resolve_sigma(config, budget), k=0.0)
 
 
 def dp_sgd_perturbed(problem, config, budget=None):
     """DP-SGD with fresh per-sample noise k * zeta added before clipping."""
-    return _run(problem, config, sigma=_resolve_sigma(config, budget), k=config.k)
+    return _single_run(problem, config, sigma=_resolve_sigma(config, budget), k=config.k)
+
+
+def final_iterates(problem, config, seeds, budget=None):
+    """Final x_T of dp_sgd_perturbed for each seed, shape (R, dim).
+
+    All seeds step together through the engine, with nothing recorded,
+    so row r is bit-identical to the last iterate of a single run with
+    ``seed = seeds[r]``.
+    """
+    sigma = _resolve_sigma(config, budget)
+    seeds = list(seeds)
+    if not seeds:
+        return np.empty((0, problem.dim))
+    return _engine(problem, config, sigma, config.k, seeds, record=False)[0]
 
 
 def _resolve_sigma(config, budget):
@@ -175,97 +190,42 @@ def dp_step_size(gap, dim, budget, c, smoothness=1.0):
     return float(num / (budget.n * budget.epsilon * c * np.sqrt(smoothness)))
 
 
-def _batch_size(problem, config):
-    m = problem.n if config.batch is None else int(config.batch)
-    if m > problem.n:
-        raise ValueError(f"batch {m} exceeds dataset size {problem.n}")
-    return m
+def _single_run(problem, config, sigma, k):
+    _, xs, gms = _engine(problem, config, sigma, k, [config.seed], record=True)
+    xs = xs[:, 0]
+    return Trajectory(problem, config, sigma, xs, gms[:, 0], *problem.closed_forms(xs))
 
 
-def _run(problem, config, sigma, k):
-    x = as_vector(config.x0)
-    if x.shape[0] != problem.dim:
-        raise ValueError(f"x0 dim {x.shape[0]} does not match problem dim {problem.dim}")
-    T = config.steps
-    m = _batch_size(problem, config)
-    d = problem.dim
-    n = problem.n
-    c = config.clip
-    subsample = m < n
+def _engine(problem, config, sigma, k, seeds, record):
+    """Run the update rule for every seed in lockstep.
 
-    idx_gen = SeededStream(config.seed, _SUBSAMPLE).generator() if subsample else None
-    pert_gen = SeededStream(config.seed, _PERTURB).generator() if k > 0.0 else None
-    dp_gen = SeededStream(config.seed, _ADDITIVE).generator() if sigma > 0.0 else None
-
-    xs = np.empty((T + 1, d))
-    xs[0] = x
-    gms = np.empty((T, d))
-    for t in range(T):
-        if subsample:
-            idx = np.minimum((idx_gen.random(m) * n).astype(np.intp), n - 1)
-            grads = problem.batch_gradients(x, idx)
-        else:
-            grads = problem.batch_gradients(x)
-        if k > 0.0:
-            grads = grads + k * normals_from_uniforms(pert_gen.random((m, d)))
-        g = clip_batch(grads, c).mean(axis=0)
-        gms[t] = g
-        move = g
-        if sigma > 0.0:
-            move = g + sigma * normals_from_uniforms(dp_gen.random(d))
-        x = x - config.alpha * move
-        xs[t + 1] = x
-    return _finish(problem, config, sigma, xs, gms)
-
-
-def _finish(problem, config, sigma, xs, gms):
-    # Quadratic-family closed forms: grad(x) = x - mean(centers) and
-    # f(x) = f_min + 0.5 * ||x - x*||^2 agree with the per-sample
-    # reductions up to float rounding and keep this pass O(T * d).
-    diffs = xs - problem.optimum
-    sq = np.einsum("td,td->t", diffs, diffs)
-    grads = diffs
-    values = 0.5 * sq + problem.value(problem.optimum)
-    distances = np.sqrt(sq)
-    return Trajectory(
-        problem=problem,
-        config=config,
-        sigma=sigma,
-        iterates=xs,
-        clipped_means=gms,
-        gradients=grads,
-        values=values,
-        distances=distances,
-    )
-
-
-def final_iterates(problem, config, seeds, budget=None):
-    """Final x_T for each seed, bit-identical to running each seed alone.
-
-    Runs the dp_sgd_perturbed update rule vectorized across seeds:
-    noise is pre-drawn per seed from the same substreams a single run
-    would use, in the same order, and the per-step arithmetic reduces
-    over the same axes.
+    Noise is pre-drawn in blocks of steps from each seed's substreams,
+    in the order a step-by-step draw would take it, and each step
+    reduces over the same axes for every R, so a seed's path does not
+    depend on which other seeds share the run. Returns the final
+    iterates (R, d) and, with ``record``, every iterate (T + 1, R, d)
+    and clipped mean (T, R, d); otherwise those two are None.
     """
-    sigma = _resolve_sigma(config, budget)
-    k = config.k
-    seeds = list(seeds)
     R = len(seeds)
-    if R == 0:
-        return np.empty((0, problem.dim))
     T = config.steps
-    m = _batch_size(problem, config)
     d = problem.dim
     n = problem.n
+    m = n if config.batch is None else int(config.batch)
+    if m > n:
+        raise ValueError(f"batch {m} exceeds dataset size {n}")
     subsample = m < n
 
+    X = np.tile(as_vector(config.x0), (R, 1))
+    if X.shape[1] != d:
+        raise ValueError(f"x0 dim {X.shape[1]} does not match problem dim {d}")
     idx_gens = [SeededStream(s, _SUBSAMPLE).generator() for s in seeds] if subsample else None
     pert_gens = [SeededStream(s, _PERTURB).generator() for s in seeds] if k > 0.0 else None
     dp_gens = [SeededStream(s, _ADDITIVE).generator() for s in seeds] if sigma > 0.0 else None
-
-    X = np.tile(as_vector(config.x0), (R, 1))
-    if X.shape[1] != problem.dim:
-        raise ValueError(f"x0 dim {X.shape[1]} does not match problem dim {problem.dim}")
+    xs = gms = None
+    if record:
+        xs = np.empty((T + 1, R, d))
+        xs[0] = X
+        gms = np.empty((T, R, d))
     centers = problem.centers
 
     block = max(1, _CHUNK_DOUBLES // max(1, R * m * d))
@@ -282,19 +242,35 @@ def final_iterates(problem, config, seeds, budget=None):
         if sigma > 0.0:
             Z = np.stack([normals_from_uniforms(g.random((B, d))) for g in dp_gens])
         for b in range(B):
+            t = lo + b
             if subsample:
                 grads = X[:, None, :] - centers[idx[:, b, :]]
             else:
                 grads = X[:, None, :] - centers[None, :, :]
             if k > 0.0:
                 grads = grads + k * zeta[:, b]
-            g = clip_batch(grads.reshape(R * m, d), config.clip).reshape(R, m, d).mean(axis=1)
+            try:
+                clipped = clip_batch(grads.reshape(R * m, d), config.clip)
+            except ValueError:
+                # clip_batch rejects non-finite rows: x_t, or a gradient
+                # built from a finite x_t, left the doubles.
+                if np.all(np.isfinite(X)):
+                    raise _diverged(t + 1, "per-sample gradients", grads, seeds) from None
+                raise _diverged(t, "the iterate", X, seeds) from None
+            g = clipped.reshape(R, m, d).mean(axis=1)
+            if record:
+                gms[t] = g
             if sigma > 0.0:
                 g = g + sigma * Z[:, b]
             X = X - config.alpha * g
-    return X
+            if record:
+                xs[t + 1] = X
+    if not np.all(np.isfinite(X)):
+        raise _diverged(T, "the iterate", X, seeds)
+    return X, xs, gms
 
 
-def with_seed(config, seed):
-    """Copy of ``config`` with a different master seed."""
-    return replace(config, seed=seed)
+def _diverged(step, what, values, seeds):
+    finite = np.isfinite(values).reshape(len(seeds), -1).all(axis=1)
+    bad = [seeds[r] for r in np.flatnonzero(~finite)]
+    return ValueError(f"run diverged at step {step}: {what} went non-finite for seed(s) {bad}")

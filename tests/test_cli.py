@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import clipbias
 from clipbias.cli import main
 
 
@@ -194,10 +196,14 @@ def test_replay_is_byte_identical(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child runs the package this suite imports, installed or not
+    package_root = os.path.dirname(os.path.dirname(clipbias.__file__))
+    path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     res = subprocess.run(
         [sys.executable, "-m", "clipbias", "calibrate", "--epsilon", "1", "--delta",
          "0.1", "--n", "100", "--T", "10", "--m", "10"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert res.returncode == 0
     assert "sigma" in res.stdout

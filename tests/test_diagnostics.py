@@ -346,6 +346,12 @@ def test_perturbation_gap_point_mass_respects_bound():
         perturbation_gap([0.5], RES1, 1.0, 0.0)
 
 
+def test_perturbation_gap_tiny_k_has_unit_ball_mass():
+    # (z*c/k)^2 overflows a double; the ball mass is 1 to double precision
+    report = perturbation_gap([0.1], RES1, 1.0, 1e-160)
+    assert report.lower_bound == 0.1 * min(0.1, 0.75) * 1.0
+
+
 # ---------------------------------------------------------------------------
 # descent ledger
 

@@ -105,7 +105,11 @@ def test_symmetrize_merges_and_pairs():
 
 
 def test_symmetrize_idempotent_and_exact():
-    for model in (RES1, Empirical([[1.0, 2.0], [-1.0, -2.0], [3.0, 0.0]])):
+    duplicated = Empirical(
+        [[1.0, -0.0], [0.0, 2.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -2.0]],
+        [0.1, 0.2, 0.3, 0.25, 0.15],
+    )
+    for model in (RES1, Empirical([[1.0, 2.0], [-1.0, -2.0], [3.0, 0.0]]), duplicated):
         sym = symmetrize(model)
         assert abs(sym.weights.sum() - 1.0) < 1e-12
         again = symmetrize(sym)
@@ -115,6 +119,11 @@ def test_symmetrize_idempotent_and_exact():
         table = {a.tobytes(): w for a, w in zip(sym.atoms, sym.weights)}
         for atom, w in zip(sym.atoms, sym.weights):
             assert table[(-atom + 0.0).tobytes()] == w
+    # duplicates and the -0.0 component merge, in first-encounter order
+    sym = symmetrize(duplicated)
+    assert sym.atoms.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]]
+    assert not np.any(np.signbit(sym.atoms[sym.atoms == 0.0]))
+    assert sym.weights.tolist() == pytest.approx([0.325, 0.325, 0.175, 0.175], abs=1e-15)
 
 
 def test_symmetrize_gaussian_passthrough():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from clipbias.optimizers import (
     dp_sgd_perturbed,
     dp_step_size,
     final_iterates,
-    with_seed,
 )
 from clipbias.privacy import PrivacyBudget
 from clipbias.problems import make_example1, make_example2, make_synthetic_mixture
@@ -35,6 +35,9 @@ def test_config_validation():
         _cfg(sigma=-0.5)
     with pytest.raises(ValueError):
         _cfg(k=-1.0)
+    for name in ("alpha", "clip", "sigma", "k"):
+        with pytest.raises(ValueError, match=name):
+            _cfg(**{name: math.inf})
 
 
 def test_clipped_sgd_rejects_noise_flags():
@@ -165,8 +168,20 @@ def test_final_iterates_matches_single_runs():
     cfg = _cfg(steps=120, batch=2, sigma=0.5, k=3.0, x0=[0.2], seed=0)
     batch = final_iterates(p, cfg, seeds=[4, 9, 21])
     for row, seed in zip(batch, [4, 9, 21]):
-        single = dp_sgd_perturbed(p, with_seed(cfg, seed))
+        single = dp_sgd_perturbed(p, replace(cfg, seed=seed))
         assert np.array_equal(row, single.iterates[-1])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_divergence_names_step_and_seed():
+    # sigma * Z overflows on some step; the run stops there and says where
+    p = make_example1()
+    cfg = _cfg(sigma=1e308, seed=0)
+    with pytest.raises(ValueError, match=r"step 9: the iterate went non-finite for seed\(s\) \[0\]"):
+        dp_sgd(p, cfg)
+    assert np.all(np.isfinite(dp_sgd(p, replace(cfg, steps=8)).iterates))
+    with pytest.raises(ValueError, match=r"step 9: the iterate went non-finite for seed\(s\) \[0\]"):
+        final_iterates(p, cfg, seeds=[1, 0, 2])
 
 
 def test_dp_step_size_examples():
