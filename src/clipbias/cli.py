@@ -465,14 +465,13 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
         p.add_argument("--out")
         p.add_argument("--config")
         p.add_argument("--clip", type=float)
 
     p = sub.add_parser("examples", help="run the divergence/correction demos")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--which", required=True, help="1, 2 or synthetic")
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=float)
@@ -484,6 +483,8 @@ def _build_parser():
 
     p = sub.add_parser("table1", help="perturbed clipped-inner grid")
     common(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int)
     p.add_argument("--dims", type=_ints_arg)
     p.add_argument("--ks", type=_floats_arg)
     p.add_argument("--vnorm", type=float)
@@ -492,11 +493,14 @@ def _build_parser():
 
     p = sub.add_parser("table2", help="symmetric lower-bound check table")
     common(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int)
     p.add_argument("--norms", type=_floats_arg)
     p.set_defaults(handler=cmd_table2)
 
     p = sub.add_parser("diagnose", help="trajectory ledger plus ensemble probes")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--problem")
     p.add_argument("--alpha", type=float)
     p.add_argument("--steps", type=int)

@@ -46,8 +46,6 @@ __all__ = [
     "descent_ledger",
 ]
 
-_MC_CHUNK = 65536
-
 
 class CheckFailure(AssertionError):
     """An internally asserted inequality failed on the computed data."""
@@ -100,11 +98,7 @@ def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     if isinstance(model, Empirical) and not mc_samples:
         scores = clip_scores(v, model.atoms, c)
         return float(np.dot(model.weights, scores)), 0.0
-    gen, total = _require_mc(model, stream, mc_samples)
-    acc = _MomentAccumulator()
-    for chunk in _chunks(total):
-        acc.add(clip_scores(v, model.sample(gen, chunk), c))
-    return acc.mean(), acc.std_error()
+    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: clip_scores(v, xi, c))
 
 
 def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
@@ -113,11 +107,9 @@ def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
     if isinstance(model, Empirical) and not mc_samples:
         clipped = clip_batch(v[None, :] + model.atoms, c)
         return model.weights @ clipped, np.zeros(v.shape[0])
-    gen, total = _require_mc(model, stream, mc_samples)
-    acc = _MomentAccumulator()
-    for chunk in _chunks(total):
-        acc.add(clip_batch(v[None, :] + model.sample(gen, chunk), c))
-    return acc.mean(), acc.std_error()
+    return noise_mod._mc_moments(
+        model, stream, mc_samples, lambda xi: clip_batch(v[None, :] + xi, c)
+    )
 
 
 def assert_symmetric(model, tol=1e-12):
@@ -205,13 +197,10 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         lower += w * min(cnorm, (1.0 - z) * c) * cos_align * prob_terms[i]
     lower *= nv
 
-    gen, total = _require_mc(mix, stream, mc_samples)
-    acc = _MomentAccumulator()
-    for chunk in _chunks(total):
-        acc.add(clip_batch(mix.sample(gen, chunk), c) @ v)
+    est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: clip_batch(g, c) @ v)
     report = BoundReport(
-        estimate=acc.mean(),
-        std_error=acc.std_error(),
+        estimate=est,
+        std_error=se,
         lower_bound=lower,
         prob_term=float(np.dot(mix.weights, prob_terms)),
         z=z,
@@ -484,7 +473,7 @@ def _expected_scores(V, emp, c):
     v2 = np.einsum("td,td->t", V, V)
     a2 = np.einsum("nd,nd->n", atoms, atoms)
     out = np.empty(T)
-    block = max(1, _MC_CHUNK * 64 // max(1, N))
+    block = max(1, noise_mod._CHUNK_DOUBLES // max(1, N))
     with np.errstate(divide="ignore"):
         for lo in range(0, T, block):
             hi = min(T, lo + block)
@@ -510,56 +499,3 @@ def _check_dominates(report):
             f"estimate {report.estimate} undercuts lower bound "
             f"{report.lower_bound} beyond 3 standard errors ({report.std_error})"
         )
-
-
-def _require_mc(model, stream, mc_samples):
-    if not mc_samples:
-        raise ValueError(
-            f"{type(model).__name__} has no exact route here; pass mc_samples and a stream"
-        )
-    if stream is None:
-        raise ValueError("Monte Carlo route needs a stream")
-    gen = stream.generator() if hasattr(stream, "generator") else stream
-    return gen, int(mc_samples)
-
-
-def _chunks(total):
-    done = 0
-    while done < total:
-        step = min(_MC_CHUNK, total - done)
-        yield step
-        done += step
-
-
-class _MomentAccumulator:
-    """Streaming mean and standard error over chunked samples."""
-
-    def __init__(self):
-        self.count = 0
-        self.total = None
-        self.total_sq = None
-
-    def add(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        s = values.sum(axis=0)
-        s2 = (values * values).sum(axis=0)
-        if self.total is None:
-            self.total = s
-            self.total_sq = s2
-        else:
-            self.total = self.total + s
-            self.total_sq = self.total_sq + s2
-        self.count += values.shape[0]
-
-    def mean(self):
-        m = self.total / self.count
-        return float(m) if np.ndim(m) == 0 else m
-
-    def std_error(self):
-        m = self.total / self.count
-        var = np.maximum(self.total_sq / self.count - m * m, 0.0)
-        # ddof correction barely matters at MC scale but keep it honest
-        if self.count > 1:
-            var = var * (self.count / (self.count - 1))
-        se = np.sqrt(var / self.count)
-        return float(se) if np.ndim(se) == 0 else se

@@ -35,6 +35,10 @@ __all__ = [
 # exactly and ndtri(0) is -inf.
 _U_FLOOR = 2.0 ** -54
 
+# Doubles (32 MB) that one block of any blocked loop in the package may
+# hold: Monte Carlo draws, ledger score blocks, optimizer noise blocks.
+_CHUNK_DOUBLES = 1 << 22
+
 
 @dataclass(frozen=True)
 class SeededStream:
@@ -205,7 +209,8 @@ class SphericalMixture(_Model):
             raise ValueError("weights, centers and scales must agree on component count")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers have non-finite components")
-        if np.any(weights <= 0.0) or abs(float(np.sum(weights)) - 1.0) > 1e-12:
+        # NaN fails the sign test and inf the sum test
+        if not np.all(weights > 0.0) or abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise ValueError("component weights must be positive and sum to 1")
         if np.any(~np.isfinite(scales)) or np.any(scales < 0.0):
             raise ValueError("component scales must be >= 0")
@@ -324,14 +329,46 @@ def prob_norm_below(model, radius, stream=None, mc_samples=0):
     if not np.isfinite(radius) or radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if mc_samples:
-        if stream is None:
-            raise ValueError("Monte Carlo route needs a stream")
-        draws = model.sample(stream, int(mc_samples))
-        hits = np.linalg.norm(draws, axis=1) < radius
-        p = float(np.mean(hits))
-        se = float(np.sqrt(p * (1.0 - p) / int(mc_samples)))
-        return p, se
+        p, _ = _mc_moments(model, stream, mc_samples, lambda x: np.linalg.norm(x, axis=1) < radius)
+        return p, float(np.sqrt(p * (1.0 - p) / int(mc_samples)))
     return _prob_norm_exact(model, radius), 0.0
+
+
+def _mc_moments(model, stream, mc_samples, statistic):
+    """Monte Carlo mean and standard error of ``statistic`` under ``model``.
+
+    ``statistic`` maps a block of draws, shape ``(rows, dim)``, to one
+    value or one vector per row; the result is ``(mean, std_error)`` of
+    that shape. Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus
+    draws and continue one generator, so the draws equal one batch of
+    ``mc_samples`` whatever the block size.
+    """
+    if not mc_samples:
+        raise ValueError(
+            f"{type(model).__name__} has no exact route here; pass mc_samples and a stream"
+        )
+    if stream is None:
+        raise ValueError("Monte Carlo route needs a stream")
+    gen = _resolve_generator(stream)
+    count = int(mc_samples)
+    if count < 0:
+        raise ValueError(f"mc_samples must be >= 0, got {count}")
+    block = max(1, _CHUNK_DOUBLES // (model.rows_per_draw + model.dim))
+    # -0.0 is the exact additive identity, so a single block sums as itself
+    total = total_sq = -0.0
+    for done in range(0, count, block):
+        draws = model.sample(gen, min(block, count - done))
+        values = np.asarray(statistic(draws), dtype=np.float64)
+        total = total + values.sum(axis=0)
+        total_sq = total_sq + (values * values).sum(axis=0)
+    mean = total / count
+    var = np.maximum(total_sq / count - mean * mean, 0.0)
+    if count > 1:
+        var = var * (count / (count - 1))
+    se = np.sqrt(var / count)
+    if np.ndim(mean) == 0:
+        return float(mean), float(se)
+    return mean, se
 
 
 def _prob_norm_exact(model, radius):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import noise as noise_mod
 from .noise import SeededStream, normals_from_uniforms
 from .privacy import calibrate_sigma
 from .vectors import as_vector, clip_batch
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 _SUBSAMPLE, _PERTURB, _ADDITIVE = 0, 1, 2
-
-# Cap on doubles held by one pre-drawn noise chunk.
-_CHUNK_DOUBLES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def _engine(problem, config, sigma, k, seeds, record):
         gms = np.empty((T, R, d))
     centers = problem.centers
 
-    block = max(1, _CHUNK_DOUBLES // max(1, R * m * d))
+    block = max(1, noise_mod._CHUNK_DOUBLES // max(1, R * m * d))
     for lo in range(0, T, block):
         B = min(block, T - lo)
         if subsample:

@@ -34,7 +34,20 @@ def row_norms(rows):
     alternatives can disagree with it in the last ulp.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    # A norm above ~1.3e154 overflows in the squares. This dot product is
+    # finite unless some norm is that large, inf or NaN, and costs less
+    # per call than an isinf scan.
+    if not norms.dot(norms) < np.inf:
+        # Redo the finite rows whose norm is inf scaled by a power of two,
+        # which is exact: a huge row's norm is its scaled copy's norm
+        # times that power.
+        big = np.flatnonzero(np.isinf(norms))
+        big = big[np.all(np.isfinite(rows[big]), axis=1)]
+        _, exp = np.frexp(np.max(np.abs(rows[big]), axis=1))
+        scaled = np.ldexp(rows[big], -exp[:, None])
+        norms[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+    return norms
 
 
 def norm(v):

@@ -60,6 +60,27 @@ def test_examples_unknown_name():
     assert _run("examples", "--which", "9") == 1
 
 
+_BUDGET = ("--epsilon", 4, "--delta", 1e-5, "--n", 1000, "--T", 100, "--m", 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ("examples", "--which", 2, "--steps", 5, "--samples", 7),
+    ("diagnose", "--problem", "example1", "--steps", 4, "--probes", 1, "--samples", 7),
+    ("calibrate", *_BUDGET, "--samples", 7),
+    ("calibrate", *_BUDGET, "--seed", 7),
+    ("wasserstein", "--samples", 7),
+    ("wasserstein", "--seed", 7),
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    pair = tmp_path / "pair.json"
+    point = {"dim": 1, "atoms": [[2.0]], "weights": [1.0]}
+    pair.write_text(json.dumps({"v": [1.0], "clip": 1.0, "p": point}))
+    if argv[0] == "wasserstein":
+        argv = (*argv, "--input", pair)
+    assert _run(*argv, "--out", tmp_path / "run") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_manifest_checksums_verify(tmp_path):
     out = tmp_path / "run"
     assert _run("examples", "--which", 2, "--steps", 50, "--out", out) == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clipbias import noise
 from clipbias.diagnostics import (
     CheckFailure,
     censored_normal_clip_mean,
@@ -24,6 +25,8 @@ from clipbias.noise import (
     IsotropicGaussian,
     SeededStream,
     SphericalMixture,
+    perturb,
+    prob_norm_below,
     symmetrize,
 )
 from clipbias.optimizers import OptimizerConfig, clipped_sgd, dp_sgd
@@ -120,6 +123,62 @@ def test_expected_inner_monte_carlo_route_agrees():
     mc, se = expected_clipped_inner(v, model, 1.0, stream=SeededStream(6, 0), mc_samples=400_000)
     assert se > 0.0
     assert abs(mc - exact) < 3 * se
+
+
+def _record_sample_counts(monkeypatch):
+    """Patch noise._Model.sample to log (model, count) of every call."""
+    calls = []
+    sample = noise._Model.sample
+
+    def logged(self, stream, count):
+        calls.append((self, int(count)))
+        return sample(self, stream, count)
+
+    monkeypatch.setattr(noise._Model, "sample", logged)
+    return calls
+
+
+def test_monte_carlo_blocks_fit_the_memory_budget(monkeypatch):
+    # One block's uniforms plus draws stay within _CHUNK_DOUBLES, however
+    # wide a draw is; 10 000 samples at d = 500 need three blocks.
+    calls = _record_sample_counts(monkeypatch)
+    v = np.zeros(500)
+    v[0] = 10.0
+    point = perturb(Empirical(np.zeros((1, 500))), 10.0)
+    expected_clipped_inner(v, point, 1.0, stream=SeededStream(0, 0), mc_samples=10_000)
+    gauss = IsotropicGaussian(1.0, 500)
+    prob_norm_below(gauss, 22.0, stream=SeededStream(0, 1), mc_samples=10_000)
+    for model in (point, gauss):
+        counts = [n for m, n in calls if m is model]
+        assert len(counts) >= 3 and sum(counts) == 10_000
+        for n in counts:
+            assert n * (model.rows_per_draw + model.dim) <= noise._CHUNK_DOUBLES
+
+
+def _mc_route(route):
+    v = [0.4, -0.1]
+    model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
+    stream = SeededStream(4, 0)
+    if route == "inner":
+        return expected_clipped_inner(v, model, 1.0, stream=stream, mc_samples=2000)
+    if route == "gradient":
+        return expected_clipped_gradient(v, model, 1.0, stream=stream, mc_samples=2000)
+    if route == "mixture":
+        mix = SphericalMixture([0.25, 0.75], [[2.0, 0.0], [0.5, 0.0]], [0.5, 0.5])
+        rep = mixture_lower_bound([0.875, 0.0], mix, 1.0, stream=stream, mc_samples=2000)
+        return rep.estimate, rep.std_error
+    return prob_norm_below(model, 2.5, stream=stream, mc_samples=2000)
+
+
+@pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
+def test_monte_carlo_estimates_do_not_depend_on_blocking(monkeypatch, route):
+    whole = _mc_route(route)
+    calls = _record_sample_counts(monkeypatch)
+    monkeypatch.setattr(noise, "_CHUNK_DOUBLES", 1000)  # ten blocks of 200 draws
+    blocked = _mc_route(route)
+    assert len(calls) >= 7
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_expected_inner_monotone_in_gradient_norm():

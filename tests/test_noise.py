@@ -72,6 +72,8 @@ def test_empirical_validation():
         Empirical([[1.0], [2.0]], weights=[-0.2, 1.2])
     with pytest.raises(ValueError):
         Empirical([[np.inf]])
+    with pytest.raises(ValueError):
+        SphericalMixture([np.nan, 1.0], [[0.0], [1.0]], [1.0, 1.0])
 
 
 def test_empirical_mean():

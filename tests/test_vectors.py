@@ -58,6 +58,25 @@ def test_norm_matches_row_norms():
         assert vectors.norm(rows[i]) == norms[i]
 
 
+def test_huge_rows_keep_their_direction():
+    # squaring these components overflows; their norms do not
+    assert np.array_equal(vectors.clip_batch(np.array([[1e200, 0.0]]), 1.0), [[1.0, 0.0]])
+    assert np.array_equal(vectors.clip([3e160], 2.0), [2.0])
+    # the exact norm of these two doubles is the midpoint between 5e200
+    # and its lower neighbour (round-half-even picks the lower): 1 ulp
+    assert vectors.norm([3e200, 4e200]) == pytest.approx(5e200, rel=2.0**-52)
+    # rescaling by a power of two is exact, so huge norms carry the bits
+    # of the scaled row's norm
+    scaled = vectors.norm([3e200 * 2.0**-600, 4e200 * 2.0**-600])
+    assert vectors.norm([3e200, 4e200]) == 2.0**600 * scaled
+    g = np.array([[3e200, -4e200], [1.0, 0.5]])
+    out = vectors.clip_batch(g, 1.0)
+    assert np.all(vectors.row_norms(out) <= 1.0)
+    assert np.array_equal(vectors.clip_batch(out, 1.0), out)
+    np.testing.assert_allclose(out[0], [0.6, -0.8], rtol=1e-15, atol=0.0)
+    assert np.isinf(vectors.row_norms(np.array([[np.inf, 1e200]]))[0])
+
+
 def test_clip_exact_invariants_bulk():
     # The cap and idempotence guarantees are exact, not approximate: check
     # a large sample across dims and thresholds with zero tolerance.
