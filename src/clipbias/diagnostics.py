@@ -22,7 +22,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import noise as noise_mod
 from .noise import Empirical, IsotropicGaussian, SphericalMixture, prob_norm_below
@@ -80,12 +79,22 @@ class GapReport:
 
 
 def clip_scores(v, noises, c):
-    """Scores s(xi) = <v, clip(v + xi, c)> for rows of ``noises``."""
+    """Scores s(xi) = <v, clip(v + xi, c)> for rows of ``noises``.
+
+    A 1-D ``noises`` holds scalar noises, so it needs a 1-D ``v``.
+    """
     v = as_vector(v)
+    return _clip_shifted(v, noises, c) @ v
+
+
+def _clip_shifted(v, noises, c):
+    """clip(v + xi, c) for every row xi of ``noises``, which must have the
+    dim of ``v``: the exact and Monte Carlo routes both check it here."""
     noises = np.asarray(noises, dtype=np.float64)
     if noises.ndim == 1:
         noises = noises[:, None]
-    return clip_batch(v[None, :] + noises, c) @ v
+    _check_dims(v, noises.shape[1])
+    return clip_batch(v[None, :] + noises, c)
 
 
 def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
@@ -105,11 +114,8 @@ def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
     """E[clip(v + xi, c)] as ``(vector, std_error_vector)``."""
     v = as_vector(v)
     if isinstance(model, Empirical) and not mc_samples:
-        clipped = clip_batch(v[None, :] + model.atoms, c)
-        return model.weights @ clipped, np.zeros(v.shape[0])
-    return noise_mod._mc_moments(
-        model, stream, mc_samples, lambda xi: clip_batch(v[None, :] + xi, c)
-    )
+        return model.weights @ _clip_shifted(v, model.atoms, c), np.zeros(v.shape[0])
+    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c))
 
 
 def assert_symmetric(model, tol=1e-12):
@@ -174,6 +180,7 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
     if not isinstance(gradient_mixture, SphericalMixture):
         raise TypeError("gradient_mixture must be a SphericalMixture")
     mix = gradient_mixture
+    _check_dims(v, mix.dim)
     mean = mix.mean()
     if float(np.linalg.norm(mean - v)) > 1e-9 * max(1.0, float(np.linalg.norm(v))):
         raise ValueError(
@@ -239,13 +246,42 @@ def wasserstein_clip(v, c, p, q):
             raise TypeError("wasserstein_clip needs empirical models")
     scores_p = clip_scores(v, p.atoms, c)
     scores_q = clip_scores(v, q.atoms, c)
-    # Collapse tied scores per side before differencing, so equal
-    # distributions cancel exactly and W(p, p) is 0.0, not rounding dust.
-    values, inverse = np.unique(np.concatenate([scores_p, scores_q]), return_inverse=True)
-    mass_p = np.bincount(inverse[: len(scores_p)], weights=p.weights, minlength=len(values))
-    mass_q = np.bincount(inverse[len(scores_p):], weights=q.weights, minlength=len(values))
-    cdf_gap = np.cumsum(mass_p - mass_q)[:-1]
-    return float(np.sum(np.abs(cdf_gap) * np.diff(values)))
+    return float(_transport_rows(scores_p[None, :], p.weights, scores_q[None, :], q.weights)[0])
+
+
+def _transport_rows(scores_p, weights_p, scores_q, weights_q):
+    """1-D W1 distance between two weighted score clouds, row by row.
+
+    Row t of ``scores_p`` and ``scores_q`` holds the scores of p's and
+    q's atoms. The merged-CDF rule sorts each row's pooled scores and
+    integrates |F_p - F_q| over the gaps between them. Each side's CDF
+    is accumulated on its own, in sorted order, before the two are
+    differenced: at the end of a run of tied scores both sums have seen
+    the same weights in the same order, so equal distributions cancel
+    exactly and W(p, p) is 0.0, not rounding dust.
+    """
+    n_p = scores_p.shape[1]
+    m = n_p + scores_q.shape[1]
+    mass_p = np.concatenate([weights_p, np.zeros(m - n_p)])
+    mass_q = np.concatenate([np.zeros(n_p), weights_q])
+    out = np.empty(scores_p.shape[0])
+    # four (rows, m) arrays are live at once
+    block = max(1, noise_mod._CHUNK_DOUBLES // (4 * m))
+    for lo in range(0, out.shape[0], block):
+        hi = lo + block
+        pooled = np.concatenate([scores_p[lo:hi], scores_q[lo:hi]], axis=1)
+        order = pooled.argsort(axis=1, kind="stable")
+        pooled = np.take_along_axis(pooled, order, axis=1)
+        cdf_p = mass_p[order]
+        cdf_q = mass_q[order]
+        np.cumsum(cdf_p, axis=1, out=cdf_p)
+        np.cumsum(cdf_q, axis=1, out=cdf_q)
+        np.subtract(cdf_p, cdf_q, out=cdf_p)
+        np.abs(cdf_p, out=cdf_p)
+        gaps = np.subtract(pooled[:, 1:], pooled[:, :-1], out=cdf_q[:, :-1])
+        np.multiply(gaps, cdf_p[:, :-1], out=gaps)
+        out[lo:hi] = gaps.sum(axis=1)
+    return out
 
 
 def descent_function(y, c, z=0.25):
@@ -265,6 +301,8 @@ def censored_normal_clip_mean(mean, scale, c):
     Tail masses sit at -c and c; the interior contributes the usual
     truncated-normal mean terms.
     """
+    from scipy import special  # see the note in clipbias.noise
+
     mean = float(mean)
     scale = float(scale)
     c = float(c)
@@ -298,6 +336,7 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     if k <= 0.0:
         raise ValueError(f"perturbation scale k must be > 0, got {k}")
     dim = v.shape[0]
+    _check_dims(v, model.dim)
     prob = noise_mod._centered_ball_mass(z * c, k, dim)
     nv = float(np.linalg.norm(v))
     lower = nv * min(nv, (1.0 - z) * c) * prob
@@ -356,7 +395,7 @@ class BiasLedger:
             writer = csv.writer(fh)
             writer.writerow(["step", "grad_norm", "lhs", "b_t", "w_bound", "prob_term"])
             for i, t in enumerate(self.steps):
-                if self.w_bound is None or not np.isfinite(self.w_bound[i]):
+                if not np.isfinite(self.w_bound[i]):
                     w_col = ""
                 else:
                     w_col = repr(float(self.w_bound[i]))
@@ -370,13 +409,19 @@ class BiasLedger:
                 ])
 
 
-def descent_ledger(trajectory, noise_model=None, z=0.25, wasserstein=None):
+def descent_ledger(trajectory, z=0.25, wasserstein=None):
     """Audit a trajectory against the clipped descent guarantee.
 
-    Uses the per-sample residual model (default: the problem's own) as
-    p, its symmetrization as ptilde, and computes per step: the
+    Uses the problem's per-sample residual model as p and its
+    symmetrization ptilde = (p + p^-) / 2 as the reference, where p^- is
+    p reflected through the origin, and computes per step: the
     guaranteed term lhs_t, the exact expectations E_p[s], E_ptilde[s],
     the bias b_t, and optionally the Wasserstein cap on |b_t|.
+
+    ptilde is never built: E_ptilde[s] = (E_p[s(xi)] + E_p[s(-xi)]) / 2,
+    and on the score line W(ptilde, p) = W(p^-, p) / 2, so one pass that
+    scores every step against p's atoms and their negations gives every
+    column.
 
     The trajectory must have been produced with alpha = 1/sqrt(T),
     which is the step size the aggregate bound is stated for.
@@ -396,33 +441,25 @@ def descent_ledger(trajectory, noise_model=None, z=0.25, wasserstein=None):
     # pre-clipping noise enters the update.
     if trajectory.sigma != 0.0 or trajectory.config.k != 0.0:
         raise ValueError("ledger audits clipped SGD runs; rerun with sigma = 0 and k = 0")
-    p = problem.noise_residuals() if noise_model is None else noise_model
-    if not isinstance(p, Empirical):
-        raise TypeError("descent_ledger needs an empirical noise model")
-    if p.dim != problem.dim:
-        raise ValueError("noise model dim does not match problem dim")
+    p = problem.noise_residuals()
     c = trajectory.config.clip
-    p_tilde = noise_mod.symmetrize(p)
 
     V = trajectory.gradients[:T]
     G = trajectory.clipped_means
     grad_norms = np.linalg.norm(V, axis=1)
-    e_p = _expected_scores(V, p, c)
-    e_pt = _expected_scores(V, p_tilde, c)
+    if wasserstein is None:
+        wasserstein = p.atoms.shape[0] <= 512 or T <= 200
+    e_p, e_reflected, w_reflected = _reflected_scores(V, p, c, wasserstein)
+    e_pt = 0.5 * (e_p + e_reflected)
     bias = e_p - e_pt
     realized = np.einsum("td,td->t", V, G)
 
-    prob = prob_norm_below(p_tilde, z * c)[0]
+    # reflection keeps every norm, so p and ptilde share this probability
+    prob = prob_norm_below(p, z * c)[0]
     lhs = prob * np.minimum(grad_norms, (1.0 - z) * c) * grad_norms
 
-    if wasserstein is None:
-        wasserstein = p.atoms.shape[0] <= 512 or T <= 200
-    if wasserstein:
-        w_bound = np.array([wasserstein_clip(V[t], c, p_tilde, p) for t in range(T)])
-        wasserstein_ok = bool(np.all(-bias <= w_bound + 1e-10))
-    else:
-        w_bound = np.full(T, np.nan)
-        wasserstein_ok = None
+    w_bound = 0.5 * w_reflected  # NaN when the column is off
+    wasserstein_ok = bool((-bias <= w_bound + 1e-10).all()) if wasserstein else None
 
     gap = problem.gap_to_optimum(trajectory.iterates[0])
     rhs = gap / np.sqrt(T) + problem.smoothness * c * c / (2.0 * np.sqrt(T))
@@ -459,31 +496,67 @@ def descent_ledger(trajectory, noise_model=None, z=0.25, wasserstein=None):
     )
 
 
-def _expected_scores(V, emp, c):
-    """E_p[s(xi)] for every gradient row of V, exact, chunked.
+def _reflected_scores(V, emp, c, transport):
+    """E_p[s], E_p^-[s] and W(p^-, p) for every gradient row of V, exact.
 
-    Expands s through <v, clip(v + xi)> = <v, v + xi> * min(1, c/||v + xi||)
-    with ||v + xi||^2 = ||v||^2 + 2<v, xi> + ||xi||^2, so one GEMM per
-    chunk covers all (step, atom) pairs.
+    p^- is p reflected through the origin. Expands s through
+    <v, clip(v + xi)> = <v, v + xi> * min(1, c/||v + xi||) with
+    ||v + xi||^2 = ||v||^2 + 2<v, xi> + ||xi||^2, so one GEMM per block
+    of rows covers all (step, atom) pairs, for xi = a and xi = -a alike.
+    Blocks hold ``_CHUNK_DOUBLES`` pairs; the transport column is NaN
+    unless ``transport``.
     """
     atoms = emp.atoms
     weights = emp.weights
     T = V.shape[0]
     N = atoms.shape[0]
-    v2 = np.einsum("td,td->t", V, V)
+    v2 = np.einsum("td,td->t", V, V)[:, None]
     a2 = np.einsum("nd,nd->n", atoms, atoms)
-    out = np.empty(T)
-    block = max(1, noise_mod._CHUNK_DOUBLES // max(1, N))
+    e_plus = np.empty(T)
+    e_minus = np.empty(T)
+    w_gap = np.full(T, np.nan)
+    block = min(T, max(1, noise_mod._CHUNK_DOUBLES // N))
+    work, plus, minus = (np.empty((block, N)) for _ in range(3))
     with np.errstate(divide="ignore"):
         for lo in range(0, T, block):
             hi = min(T, lo + block)
             A = V[lo:hi] @ atoms.T
-            n2 = np.maximum(v2[lo:hi, None] + 2.0 * A + a2[None, :], 0.0)
-            inner = v2[lo:hi, None] + A
-            factor = np.minimum(1.0, c / np.sqrt(n2))
-            scores = np.where(n2 > 0.0, inner * factor, 0.0)
-            out[lo:hi] = scores @ weights
+            s_plus = _score_block(v2[lo:hi], A, a2, c, 1.0, work, plus)
+            s_minus = _score_block(v2[lo:hi], A, a2, c, -1.0, work, minus)
+            e_plus[lo:hi] = s_plus @ weights
+            e_minus[lo:hi] = s_minus @ weights
+            if transport:
+                w_gap[lo:hi] = _transport_rows(s_plus, weights, s_minus, weights)
+    return e_plus, e_minus, w_gap
+
+
+def _score_block(v2, A, a2, c, sign, work, out):
+    """Scores s(sign * a) of one block of rows into ``out``, in place.
+
+    ``A`` holds <v, a> for every (row, atom) pair and ``v2``, ``a2`` the
+    squared norms; ``work`` and ``out`` are buffers at least as
+    tall as ``A``. A pair with v + xi = 0 scores 0.
+    """
+    n2 = work[: A.shape[0]]
+    out = out[: A.shape[0]]
+    np.multiply(A, 2.0 * sign, out=n2)
+    np.add(v2, n2, out=n2)
+    np.add(n2, a2, out=n2)
+    np.maximum(n2, 0.0, out=n2)
+    (np.add if sign > 0.0 else np.subtract)(v2, A, out=out)
+    at_origin = None if n2.all() else n2 == 0.0
+    np.sqrt(n2, out=n2)
+    np.divide(c, n2, out=n2)
+    np.minimum(n2, 1.0, out=n2)
+    np.multiply(out, n2, out=out)
+    if at_origin is not None:
+        out[at_origin] = 0.0
     return out
+
+
+def _check_dims(v, dim):
+    if dim != v.shape[0]:
+        raise ValueError(f"noise dim {dim} does not match gradient dim {v.shape[0]}")
 
 
 def _check_z(z):

@@ -255,7 +255,7 @@ def _engine(problem, config, sigma, k, seeds, record):
                 if np.all(np.isfinite(X)):
                     raise _diverged(t + 1, "per-sample gradients", grads, seeds) from None
                 raise _diverged(t, "the iterate", X, seeds) from None
-            g = clipped.reshape(R, m, d).mean(axis=1)
+            g = clipped.reshape(R, m, d).sum(axis=1) / m  # numpy's mean, without its wrapper
             if record:
                 gms[t] = g
             if sigma > 0.0:

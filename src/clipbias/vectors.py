@@ -46,7 +46,8 @@ def row_norms(rows):
         big = big[np.all(np.isfinite(rows[big]), axis=1)]
         _, exp = np.frexp(np.max(np.abs(rows[big]), axis=1))
         scaled = np.ldexp(rows[big], -exp[:, None])
-        norms[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+        with np.errstate(over="ignore"):  # a norm beyond the doubles stays inf
+            norms[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
     return norms
 
 
@@ -92,27 +93,40 @@ def clip(g, c):
 def clip_batch(rows, c):
     """Clip each row of a 2-D array to l2 norm at most ``c``."""
     rows = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(rows)):
+    norms = row_norms(rows)
+    # A finite norm needs finite components, so the rows are scanned only
+    # when some norm is not finite; that is cheaper than scanning them.
+    if np.count_nonzero(np.isfinite(norms)) < norms.shape[0] and not np.isfinite(rows).all():
         raise ValueError("input has non-finite components")
     _check_threshold(c)
-    norms = row_norms(rows)
     over = norms > c
-    if not np.any(over):
+    if not np.count_nonzero(over):
         return rows.copy()
     out = rows.copy()
-    out[over] *= (c / norms[over])[:, None]
+    scale = c / norms[over]
+    if np.count_nonzero(scale) < scale.shape[0]:
+        # c / norm is 0 where the norm left the doubles (or the quotient
+        # underflowed): rescale those rows from a copy scaled by a power
+        # of two, which is exact and keeps their direction.
+        lost = scale == 0.0
+        idx = np.flatnonzero(over)[lost]
+        _, exp = np.frexp(np.abs(rows[idx]).max(axis=1))
+        scaled = np.ldexp(rows[idx], -exp[:, None])
+        out[idx] = scaled
+        scale[lost] = c / row_norms(scaled)
+    out[over] *= scale[:, None]
     # Rounding can leave a rescaled norm a few ulps above c. Pull those
     # rows back down so the norm cap is exact, which also makes the
     # operator exactly idempotent (a second pass changes nothing).
     for _ in range(4):
         new_norms = row_norms(out[over])
         still = new_norms > c
-        if not np.any(still):
+        if not np.count_nonzero(still):
             return out
         rows_idx = np.flatnonzero(over)[still]
         out[rows_idx] *= (c / new_norms[still])[:, None]
     bad = row_norms(out) > c
-    while np.any(bad):
+    while bad.any():
         out[bad] = np.nextafter(out[bad], 0.0)
         bad = row_norms(out) > c
     return out
@@ -120,5 +134,5 @@ def clip_batch(rows, c):
 
 def _check_threshold(c):
     c = float(c)
-    if not np.isfinite(c) or c <= 0.0:
+    if not 0.0 < c < np.inf:
         raise ValueError(f"clip threshold must be a positive real, got {c}")

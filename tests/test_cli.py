@@ -197,6 +197,15 @@ def test_wasserstein_malformed_input(tmp_path):
     assert _run("wasserstein", "--input", missing, "--out", tmp_path / "w2") == 1
 
 
+def test_wasserstein_dimension_mismatch(tmp_path, capsys):
+    payload = {"v": [1.0, 2.0], "clip": 1.0, "p": {"dim": 1, "atoms": [[4.0], [-8.0]],
+                                                     "weights": [0.5, 0.5]}}
+    src = tmp_path / "pair.json"
+    src.write_text(json.dumps(payload))
+    assert _run("wasserstein", "--input", src, "--out", tmp_path / "w") == 1
+    assert "noise dim 1 does not match gradient dim 2" in capsys.readouterr().err
+
+
 def test_replay_is_byte_identical(tmp_path):
     for args, skip in [
         (("examples", "--which", "1", "--steps", 200, "--k", "2.0"), ()),

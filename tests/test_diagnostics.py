@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipbias import noise
+from clipbias import diagnostics, noise
 from clipbias.diagnostics import (
     CheckFailure,
     censored_normal_clip_mean,
@@ -30,7 +30,12 @@ from clipbias.noise import (
     symmetrize,
 )
 from clipbias.optimizers import OptimizerConfig, clipped_sgd, dp_sgd
-from clipbias.problems import make_example1, make_example2, make_synthetic_mixture
+from clipbias.problems import (
+    QuadraticProblem,
+    make_example1,
+    make_example2,
+    make_synthetic_mixture,
+)
 from oracles import (
     censored_mean_quadrature,
     expected_clipped_inner_enum,
@@ -487,3 +492,81 @@ def test_ledger_csv_layout(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "step,grad_norm,lhs,b_t,w_bound,prob_term"
     assert len(lines) == 51
+
+
+# Residual clouds are optimum - centers; these centers sum to zero exactly,
+# so the clouds are exactly the negated centers.
+TIED = QuadraticProblem([-5.0, -7.0, 5.0, -5.0, 12.0])  # atoms 5 and 7 tie at c = 1
+CLOUD3 = QuadraticProblem(-np.array([
+    [1.5, -2.0, 0.5], [-1.5, 2.0, -0.5],  # an exact +- pair
+    [3.0, 1.0, -2.0], [3.0, 1.0, -2.0],  # a duplicate atom
+    [-6.0, -2.0, 4.0], [0.0, 0.0, 5.0], [0.0, 0.0, 7.0], [0.0, 0.0, -12.0],
+]))
+
+
+@pytest.mark.parametrize("problem, x0", [
+    (make_example1(), [1.0]),
+    (make_example2(), [1.5]),
+    (TIED, [0.25]),
+    (CLOUD3, [0.5, -0.3, 0.2]),
+])
+def test_ledger_columns_match_the_per_step_functions(problem, x0):
+    traj = _ledger_run(problem, x0, steps=200)
+    ledger = descent_ledger(traj, wasserstein=True)
+    p = problem.noise_residuals()
+    p_tilde = symmetrize(p)
+    for t in range(traj.steps):
+        v = traj.gradients[t]
+        assert ledger.e_p[t] == pytest.approx(expected_clipped_inner(v, p, 1.0)[0], abs=1e-12)
+        want = expected_clipped_inner(v, p_tilde, 1.0)[0]
+        assert ledger.e_p_tilde[t] == pytest.approx(want, abs=1e-12)
+        want = wasserstein_clip(v, 1.0, p_tilde, p)
+        assert ledger.w_bound[t] == pytest.approx(want, abs=1e-12)
+
+
+def test_ledger_neither_symmetrizes_nor_calls_the_public_transport(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ledger reads every column off one score pass")
+
+    monkeypatch.setattr(noise, "symmetrize", forbidden)
+    monkeypatch.setattr(diagnostics, "wasserstein_clip", forbidden)
+    ledger = descent_ledger(_ledger_run(make_example1(), [1.0], steps=100), wasserstein=True)
+    assert ledger.passed
+    assert np.all(np.isfinite(ledger.w_bound))
+
+
+def test_transport_self_distance_is_exactly_zero_on_ties():
+    p = TIED.noise_residuals()
+    for v in np.linspace(-3.0, 3.0, 61):
+        assert wasserstein_clip([v], 1.0, p, p) == 0.0
+        assert wasserstein_clip([v], 1.0, symmetrize(p), symmetrize(p)) == 0.0
+    cloud = CLOUD3.noise_residuals()
+    assert wasserstein_clip([0.1, 0.2, -0.3], 1.0, cloud, cloud) == 0.0
+
+
+def test_dimension_mismatches_are_rejected():
+    p1 = RES1
+    p3 = Empirical(np.eye(3))
+    calls = [
+        lambda: wasserstein_clip([1.0, 2.0], 1.0, p1, symmetrize(p1)),
+        lambda: expected_clipped_inner([1.0, 2.0], p1, 1.0),
+        lambda: expected_clipped_gradient([1.0, 2.0], p1, 1.0),
+        lambda: clipping_bias([1.0, 2.0], p1, symmetrize(p1), 1.0),
+        lambda: clip_scores([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], 1.0),
+        lambda: expected_clipped_inner(
+            [1.0, 2.0], IsotropicGaussian(1.0, 3), 1.0, stream=SeededStream(0, 0), mc_samples=10
+        ),
+        lambda: expected_clipped_gradient(
+            [1.0, 2.0], IsotropicGaussian(1.0, 3), 1.0, stream=SeededStream(0, 0), mc_samples=10
+        ),
+        lambda: perturbation_gap([0.1], p3, 1.0, 2.0),
+        lambda: mixture_lower_bound(
+            [1.0], SphericalMixture([1.0], [[1.0, 1.0, 1.0]], [0.5]), 1.0,
+            stream=SeededStream(0, 0), mc_samples=10,
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"noise dim \d does not match gradient dim \d"):
+            call()
+    # 1-D noises are scalars for a 1-D gradient
+    assert clip_scores([1.0], [0.5, -3.0], 1.0).tolist() == [1.0, -1.0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_huge_rows_keep_their_direction():
     assert np.array_equal(vectors.clip_batch(out, 1.0), out)
     np.testing.assert_allclose(out[0], [0.6, -0.8], rtol=1e-15, atol=0.0)
     assert np.isinf(vectors.row_norms(np.array([[np.inf, 1e200]]))[0])
+
+
+def test_rows_beyond_the_double_range_keep_their_direction():
+    # the norm itself overflows here: it stays inf, the clip does not
+    g = np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308], [0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = vectors.row_norms(g)
+        out = vectors.clip_batch(g, 1.0)
+    assert np.isinf(norms[0]) and np.isinf(norms[1])
+    assert np.all(vectors.row_norms(out) <= 1.0)
+    assert np.array_equal(vectors.clip_batch(out, 1.0), out)
+    half = 2.0**-0.5
+    for row, want in ((out[0], [half, half]), (out[1], [-half, half])):
+        assert np.all(np.abs(row - want) <= np.spacing(half))
+    assert np.array_equal(out[2], g[2])
 
 
 def test_clip_exact_invariants_bulk():
