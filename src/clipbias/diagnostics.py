@@ -503,8 +503,14 @@ def _reflected_scores(V, emp, c, transport):
     <v, clip(v + xi)> = <v, v + xi> * min(1, c/||v + xi||) with
     ||v + xi||^2 = ||v||^2 + 2<v, xi> + ||xi||^2, so one GEMM per block
     of rows covers all (step, atom) pairs, for xi = a and xi = -a alike.
-    Blocks hold ``_CHUNK_DOUBLES`` pairs; the transport column is NaN
-    unless ``transport``.
+
+    Two budgets bound the memory. A block of rows holds
+    ``_CHUNK_DOUBLES`` pairs, and the product and the two score blocks
+    each take one block. The elementwise passes run on row slices of
+    ``_SLICE_DOUBLES`` pairs, through one slice-sized scratch buffer, so
+    they stay in cache. The weighted sums stay whole-block GEMVs: their
+    rounding depends on the row count, so slicing them would move bits.
+    The transport column is NaN unless ``transport``.
     """
     atoms = emp.atoms
     weights = emp.weights
@@ -516,13 +522,18 @@ def _reflected_scores(V, emp, c, transport):
     e_minus = np.empty(T)
     w_gap = np.full(T, np.nan)
     block = min(T, max(1, noise_mod._CHUNK_DOUBLES // N))
-    work, plus, minus = (np.empty((block, N)) for _ in range(3))
+    rows = min(block, max(1, noise_mod._SLICE_DOUBLES // N))
+    plus, minus = np.empty((block, N)), np.empty((block, N))
+    work = np.empty((rows, N))
     with np.errstate(divide="ignore"):
         for lo in range(0, T, block):
             hi = min(T, lo + block)
             A = V[lo:hi] @ atoms.T
-            s_plus = _score_block(v2[lo:hi], A, a2, c, 1.0, work, plus)
-            s_minus = _score_block(v2[lo:hi], A, a2, c, -1.0, work, minus)
+            for s in range(0, hi - lo, rows):
+                e = min(hi - lo, s + rows)
+                _score_block(v2[lo + s:lo + e], A[s:e], a2, c, 1.0, work, plus[s:e])
+                _score_block(v2[lo + s:lo + e], A[s:e], a2, c, -1.0, work, minus[s:e])
+            s_plus, s_minus = plus[: hi - lo], minus[: hi - lo]
             e_plus[lo:hi] = s_plus @ weights
             e_minus[lo:hi] = s_minus @ weights
             if transport:
@@ -531,14 +542,13 @@ def _reflected_scores(V, emp, c, transport):
 
 
 def _score_block(v2, A, a2, c, sign, work, out):
-    """Scores s(sign * a) of one block of rows into ``out``, in place.
+    """Scores s(sign * a) of a slice of rows into ``out``, in place.
 
     ``A`` holds <v, a> for every (row, atom) pair and ``v2``, ``a2`` the
-    squared norms; ``work`` and ``out`` are buffers at least as
-    tall as ``A``. A pair with v + xi = 0 scores 0.
+    squared norms; ``work`` is a buffer at least as tall as ``A`` and
+    ``out`` has its shape. A pair with v + xi = 0 scores 0.
     """
     n2 = work[: A.shape[0]]
-    out = out[: A.shape[0]]
     np.multiply(A, 2.0 * sign, out=n2)
     np.add(v2, n2, out=n2)
     np.add(n2, a2, out=n2)
@@ -551,7 +561,6 @@ def _score_block(v2, A, a2, c, sign, work, out):
     np.multiply(out, n2, out=out)
     if at_origin is not None:
         out[at_origin] = 0.0
-    return out
 
 
 def _check_dims(v, dim):

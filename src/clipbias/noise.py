@@ -14,7 +14,6 @@ Norm probabilities ``P(||xi|| < r)`` are exact for every shipped model
 optional Monte Carlo route kept for cross-checking.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,10 @@ _U_FLOOR = 2.0 ** -54
 # Doubles (32 MB) that one block of any blocked loop in the package may
 # hold: Monte Carlo draws, ledger score blocks, optimizer noise blocks.
 _CHUNK_DOUBLES = 1 << 22
+
+# Doubles (512 KB) in one row slice of a ledger score block: small enough
+# that its elementwise passes run in L2 rather than from memory.
+_SLICE_DOUBLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,6 @@ class Empirical(_Model):
         if atoms.ndim != 2 or atoms.shape[1] != dim:
             raise ValueError(f"atoms shape {atoms.shape} does not match dim {dim}")
         return cls(atoms, weights)
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 class IsotropicGaussian(_Model):

@@ -20,7 +20,7 @@ stream position (the modulo bias is ~n * 2^-53).
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "dp_sgd_perturbed",
     "dp_step_size",
     "final_iterates",
+    "trajectories",
 ]
 
 _SUBSAMPLE, _PERTURB, _ADDITIVE = 0, 1, 2
@@ -166,6 +167,17 @@ def final_iterates(problem, config, seeds, budget=None):
     return _engine(problem, config, sigma, config.k, seeds, record=False)[0]
 
 
+def trajectories(problem, config, seeds):
+    """One Trajectory of dp_sgd_perturbed per seed, the recording twin of
+    final_iterates.
+
+    All seeds step together through one engine call, so trajectory r is
+    bit-identical to a single run with ``seed = seeds[r]``, whose config
+    it carries.
+    """
+    return _recorded_runs(problem, config, _resolve_sigma(config, None), config.k, list(seeds))
+
+
 def _resolve_sigma(config, budget):
     if config.sigma is not None:
         return float(config.sigma)
@@ -189,9 +201,21 @@ def dp_step_size(gap, dim, budget, c, smoothness=1.0):
 
 
 def _single_run(problem, config, sigma, k):
-    _, xs, gms = _engine(problem, config, sigma, k, [config.seed], record=True)
-    xs = xs[:, 0]
-    return Trajectory(problem, config, sigma, xs, gms[:, 0], *problem.closed_forms(xs))
+    return _recorded_runs(problem, config, sigma, k, [config.seed])[0]
+
+
+def _recorded_runs(problem, config, sigma, k, seeds):
+    if not seeds:
+        return []
+    _, xs, gms = _engine(problem, config, sigma, k, seeds, record=True)
+    runs = []
+    for r, seed in enumerate(seeds):
+        x = np.ascontiguousarray(xs[:, r])
+        runs.append(Trajectory(
+            problem, replace(config, seed=seed), sigma, x, np.ascontiguousarray(gms[:, r]),
+            *problem.closed_forms(x),
+        ))
+    return runs
 
 
 def _engine(problem, config, sigma, k, seeds, record):

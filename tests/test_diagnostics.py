@@ -29,7 +29,7 @@ from clipbias.noise import (
     prob_norm_below,
     symmetrize,
 )
-from clipbias.optimizers import OptimizerConfig, clipped_sgd, dp_sgd
+from clipbias.optimizers import OptimizerConfig, Trajectory, clipped_sgd, dp_sgd
 from clipbias.problems import (
     QuadraticProblem,
     make_example1,
@@ -522,6 +522,48 @@ def test_ledger_columns_match_the_per_step_functions(problem, x0):
         assert ledger.e_p_tilde[t] == pytest.approx(want, abs=1e-12)
         want = wasserstein_clip(v, 1.0, p_tilde, p)
         assert ledger.w_bound[t] == pytest.approx(want, abs=1e-12)
+
+
+def test_ledger_slices_match_the_per_step_functions(monkeypatch):
+    # 8 atoms: blocks of 23 rows (9 blocks, the last 16 rows tall) and
+    # slices of 5 rows (5, 5, 5, 5, 3 per full block; 5, 5, 5, 1 in the last)
+    steps = 200
+    p = CLOUD3.noise_residuals()
+    run = _ledger_run(CLOUD3, [0.5, -0.3, 0.2], steps=steps)
+    iterates = run.iterates.copy()
+    iterates[23 + 7] = -p.atoms[5]  # v = -a exactly, in block 1's second slice
+    assert CLOUD3.optimum.tolist() == [0.0, 0.0, 0.0]  # so gradients are the iterates
+    traj = Trajectory(
+        CLOUD3, run.config, 0.0, iterates, run.clipped_means, *CLOUD3.closed_forms(iterates)
+    )
+    score_block = diagnostics._score_block
+    sliced_rows = []
+
+    def counted(v2, A, *args):
+        sliced_rows.append(A.shape[0])
+        return score_block(v2, A, *args)
+
+    monkeypatch.setattr(diagnostics, "_score_block", counted)
+    monkeypatch.setattr(noise, "_CHUNK_DOUBLES", 8 * 23)
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 5)
+    ledger = descent_ledger(traj, wasserstein=True)
+    per_sign = [5, 5, 5, 5, 3] * 8 + [5, 5, 5, 1]
+    assert sliced_rows == [rows for rows in per_sign for _ in range(2)]
+
+    p_tilde = symmetrize(p)
+    for t in range(steps):
+        v = traj.gradients[t]
+        assert ledger.e_p[t] == pytest.approx(expected_clipped_inner(v, p, 1.0)[0], abs=1e-12)
+        want = expected_clipped_inner(v, p_tilde, 1.0)[0]
+        assert ledger.e_p_tilde[t] == pytest.approx(want, abs=1e-12)
+        want = wasserstein_clip(v, 1.0, p_tilde, p)
+        assert ledger.w_bound[t] == pytest.approx(want, abs=1e-12)
+
+    # the weighted sums keep the block shape, so slicing moves no bits
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 23)
+    whole = descent_ledger(traj, wasserstein=True)
+    assert np.array_equal(ledger.e_p, whole.e_p)
+    assert np.array_equal(ledger.e_p_tilde, whole.e_p_tilde)
 
 
 def test_ledger_neither_symmetrizes_nor_calls_the_public_transport(monkeypatch):

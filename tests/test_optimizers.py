@@ -11,6 +11,7 @@ from clipbias.optimizers import (
     dp_sgd_perturbed,
     dp_step_size,
     final_iterates,
+    trajectories,
 )
 from clipbias.privacy import PrivacyBudget
 from clipbias.problems import make_example1, make_example2, make_synthetic_mixture
@@ -170,6 +171,25 @@ def test_final_iterates_matches_single_runs():
     for row, seed in zip(batch, [4, 9, 21]):
         single = dp_sgd_perturbed(p, replace(cfg, seed=seed))
         assert np.array_equal(row, single.iterates[-1])
+
+
+@pytest.mark.parametrize("problem, x0", [
+    (make_example1(), [1.0]),
+    (make_example2(), [1.5]),
+    (make_synthetic_mixture(), [0.0] * 10),
+])
+def test_trajectories_match_single_runs(problem, x0):
+    cfg = _cfg(alpha=1.0 / math.sqrt(200), steps=200, x0=x0, batch=1)
+    seeds = [0, 3, 7]
+    runs = trajectories(problem, cfg, seeds)
+    assert len(runs) == len(seeds)
+    for run, seed in zip(runs, seeds):
+        single = clipped_sgd(problem, replace(cfg, seed=seed))
+        assert run.config == single.config
+        assert run.sigma == single.sigma
+        for name in ("iterates", "clipped_means", "gradients", "values", "distances"):
+            assert np.array_equal(getattr(run, name), getattr(single, name)), name
+    assert trajectories(problem, cfg, []) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
