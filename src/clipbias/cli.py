@@ -4,9 +4,10 @@ Subcommands: examples, table1, table2, diagnose, calibrate,
 wasserstein. Each run reads an optional JSON config file, applies flag
 overrides, writes deterministic data files plus a metadata echo of the
 effective configuration, and finishes with a manifest listing every
-emitted file with a sha256 checksum. Timestamps live only in
-metadata.json, so re-running a command with the same config reproduces
-every other file byte for byte.
+emitted file with a sha256 checksum. Re-running a command with the
+same config reproduces every data file byte for byte. Two files differ:
+metadata.json holds a timestamp, and manifest.json lists the checksum
+of metadata.json.
 
 Exit codes: 0 when all embedded checks pass, 2 when the run completed
 but an embedded inequality check failed (the report is still written),
@@ -14,7 +15,6 @@ but an embedded inequality check failed (the report is still written),
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -25,6 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._files import json_text, write_csv
 from .diagnostics import (
     CheckFailure,
     clipping_bias,
@@ -61,14 +62,7 @@ class RunWriter:
 
     def write_json(self, name, payload):
         with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, name, header, rows):
-        with open(self.path(name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(json_text(payload))
 
     def finalize(self, command, config, argv):
         self.write_json("metadata.json", {
@@ -86,14 +80,8 @@ class RunWriter:
         for name in sorted(self.names):
             with open(os.path.join(self.out_dir, name), "rb") as fh:
                 checksums[name] = hashlib.sha256(fh.read()).hexdigest()
-        manifest = {"command": command, "files": checksums}
-        with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _fmt(x):
-    return repr(float(x))
+        # written last, so it does not list itself
+        self.write_json("manifest.json", {"command": command, "files": checksums})
 
 
 # ---------------------------------------------------------------- config
@@ -164,9 +152,9 @@ def _default_x0(problem, name):
 
 
 _EXAMPLES_KEYS = {
-    "1": ("example1", dict(alpha=0.001, steps=20000, x0=[1.0])),
-    "2": ("example2", dict(alpha=0.001, steps=20000, x0=[1.5])),
-    "synthetic": ("synthetic-mixture", dict(alpha=0.015, steps=2000, x0=[0.0] * 10)),
+    "1": ("example1", dict(alpha=0.001, steps=20000)),
+    "2": ("example2", dict(alpha=0.001, steps=20000)),
+    "synthetic": ("synthetic-mixture", dict(alpha=0.015, steps=2000)),
 }
 
 
@@ -175,12 +163,14 @@ def cmd_examples(args, argv):
         raise CliError(f"unknown experiment {args.which!r}; choose 1, 2 or synthetic")
     name, specific = _EXAMPLES_KEYS[args.which]
     defaults = dict(
-        which=args.which, clip=1.0, sigma=1.0, k=0.0, seed=0, batch=None, out=None,
-        **specific,
+        which=args.which, clip=1.0, sigma=1.0, k=0.0, seed=0, batch=None, x0=None,
+        out=None, **specific,
     )
     cfg = _merge_config(args, defaults)
     out_dir = _require_out(cfg)
     problem = problem_by_name(name, seed=cfg["seed"])
+    if cfg["x0"] is None:
+        cfg["x0"] = _default_x0(problem, name)
     opt = OptimizerConfig(
         alpha=cfg["alpha"], clip=cfg["clip"], steps=int(cfg["steps"]), x0=cfg["x0"],
         batch=cfg["batch"], sigma=cfg["sigma"], k=cfg["k"], seed=int(cfg["seed"]),
@@ -210,23 +200,22 @@ def cmd_table1(args, argv):
         cfg["dims"] = sorted(set(cfg["dims"]) | {10000})
         cfg["ks"] = sorted(set(cfg["ks"]) | {1000})
     out_dir = _require_out(cfg)
-    rows = []
-    stream_id = 0
-    for d in cfg["dims"]:
-        v = np.zeros(int(d))
+    dims = [int(d) for d in cfg["dims"] for _ in cfg["ks"]]
+    ks = [float(k) for _ in cfg["dims"] for k in cfg["ks"]]
+    cells = np.empty((len(dims), 2))  # estimate, std_error
+    for i, (d, k) in enumerate(zip(dims, ks)):
+        v = np.zeros(d)
         v[0] = cfg["vnorm"]
-        origin = Empirical(np.zeros((1, int(d))))
-        for k in cfg["ks"]:
-            model = perturb(origin, float(k))
-            est, se = expected_clipped_inner(
-                v, model, cfg["clip"],
-                stream=SeededStream(int(cfg["seed"]), stream_id),
-                mc_samples=int(cfg["samples"]),
-            )
-            rows.append([int(d), _fmt(k), _fmt(est), _fmt(se), int(cfg["samples"])])
-            stream_id += 1
+        cells[i] = expected_clipped_inner(
+            v, perturb(Empirical(np.zeros((1, d))), k), cfg["clip"],
+            stream=SeededStream(int(cfg["seed"]), i),
+            mc_samples=int(cfg["samples"]),
+        )
     writer = RunWriter(out_dir)
-    writer.write_csv("table1.csv", ["d", "k", "estimate", "std_error", "samples"], rows)
+    write_csv(
+        writer.path("table1.csv"), ["d", "k", "estimate", "std_error", "samples"],
+        [dims, ks, cells[:, 0], cells[:, 1], np.full(len(dims), int(cfg["samples"]))],
+    )
     writer.finalize("table1", cfg, argv)
     return []
 
@@ -239,32 +228,27 @@ def cmd_table2(args, argv):
     cfg = _merge_config(args, defaults)
     out_dir = _require_out(cfg)
     model = IsotropicGaussian(1.0, 1)
-    rows = []
+    norms = [float(nv) for nv in cfg["norms"]]
+    cells = np.full((len(norms), 4), np.nan)  # a failed row stays blank
+    checks = []
     failures = []
-    for i, nv in enumerate(cfg["norms"]):
-        stream = SeededStream(int(cfg["seed"]), i)
+    for i, nv in enumerate(norms):
         try:
             rep = symmetric_lower_bound(
-                [float(nv)], model, cfg["clip"], stream=stream,
+                [nv], model, cfg["clip"], stream=SeededStream(int(cfg["seed"]), i),
                 mc_samples=int(cfg["samples"]),
             )
-            status = "pass"
         except CheckFailure as exc:
             failures.append(str(exc))
-            rep = None
-            status = "fail"
-        if rep is None:
-            rows.append([_fmt(nv), "", "", "", "", status])
-        else:
-            rows.append([
-                _fmt(nv), _fmt(rep.estimate), _fmt(rep.std_error),
-                _fmt(rep.lower_bound), _fmt(rep.prob_term), status,
-            ])
+            checks.append("fail")
+            continue
+        cells[i] = rep.estimate, rep.std_error, rep.lower_bound, rep.prob_term
+        checks.append("pass")
     writer = RunWriter(out_dir)
-    writer.write_csv(
-        "table2.csv",
+    write_csv(
+        writer.path("table2.csv"),
         ["grad_norm", "estimate", "std_error", "lower_bound", "prob_term", "check"],
-        rows,
+        [norms, *cells.T, checks],
     )
     writer.finalize("table2", cfg, argv)
     return failures
@@ -312,10 +296,7 @@ def cmd_diagnose(args, argv):
         probe_seed = int(cfg["seed"]) * 1000 + i
         probe = ProjectionProbe.random(problem.dim, probe_seed)
         points = project2d(rows, probe)
-        writer.write_csv(
-            f"scatter_seed{probe_seed}.csv", ["x", "y"],
-            [[_fmt(px), _fmt(py)] for px, py in points],
-        )
+        write_csv(writer.path(f"scatter_seed{probe_seed}.csv"), ["x", "y"], points.T)
         if len(points) >= 2:  # a single-sample ensemble has no symmetry to score
             probe_scores[str(probe_seed)] = {
                 "residual_origin": symmetry_score(
@@ -392,7 +373,7 @@ def cmd_calibrate(args, argv):
         writer.write_json("calibration.json", payload)
         writer.finalize("calibrate", cfg, argv)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(payload))
     return []
 
 

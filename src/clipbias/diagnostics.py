@@ -18,12 +18,12 @@ internally and raise :class:`CheckFailure` when the data contradicts
 it beyond 3 standard errors.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as noise_mod
+from ._files import write_csv
 from .noise import Empirical, IsotropicGaussian, SphericalMixture, prob_norm_below
 from .vectors import as_vector, clip_batch, norm
 
@@ -391,22 +391,10 @@ class BiasLedger:
         return all(checks)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "grad_norm", "lhs", "b_t", "w_bound", "prob_term"])
-            for i, t in enumerate(self.steps):
-                if not np.isfinite(self.w_bound[i]):
-                    w_col = ""
-                else:
-                    w_col = repr(float(self.w_bound[i]))
-                writer.writerow([
-                    int(t),
-                    repr(float(self.grad_norms[i])),
-                    repr(float(self.lhs[i])),
-                    repr(float(self.bias[i])),
-                    w_col,
-                    repr(float(self.prob_term)),
-                ])
+        write_csv(path, ["step", "grad_norm", "lhs", "b_t", "w_bound", "prob_term"], [
+            self.steps, self.grad_norms, self.lhs, self.bias, self.w_bound,
+            np.full(self.steps.shape[0], self.prob_term),
+        ])
 
 
 def descent_ledger(trajectory, z=0.25, wasserstein=None):

@@ -377,36 +377,27 @@ def _prob_norm_exact(model, radius):
     if isinstance(model, Empirical):
         norms = np.linalg.norm(model.atoms, axis=1)
         return float(np.sum(model.weights[norms < radius]))
+    weights, centers, scales = _spherical_components(model)
+    terms = [
+        w * _shifted_ball_mass(radius, center, scale, model.dim)
+        for w, center, scale in zip(weights, centers, scales.tolist())
+    ]
+    return float(np.sum(terms))
+
+
+def _spherical_components(model):
+    """``(weights, centers, scales)`` of a model that is a weighted sum of
+    spherical normals N(center, scale^2 I); an atom has scale 0."""
+    if isinstance(model, Empirical):
+        return model.weights, model.atoms, np.zeros(model.weights.shape[0])
     if isinstance(model, IsotropicGaussian):
-        return _centered_ball_mass(radius, model.scale, model.dim)
+        return np.ones(1), np.zeros((1, model.dim)), np.array([model.scale])
     if isinstance(model, SphericalMixture):
-        terms = [
-            w * _shifted_ball_mass(radius, center, scale, model.dim)
-            for w, center, scale in zip(model.weights, model.centers, model.scales)
-        ]
-        return float(np.sum(terms))
+        return model.weights, model.centers, model.scales
     if isinstance(model, Perturbed):
-        return _prob_norm_perturbed(model, radius)
+        weights, centers, scales = _spherical_components(model.base)
+        return weights, centers, np.hypot(scales, model.k)
     raise TypeError(f"no exact norm probability for {type(model).__name__}")
-
-
-def _prob_norm_perturbed(model, radius):
-    base, k = model.base, model.k
-    if isinstance(base, Empirical):
-        terms = [
-            w * _shifted_ball_mass(radius, atom, k, model.dim)
-            for w, atom in zip(base.weights, base.atoms)
-        ]
-        return float(np.sum(terms))
-    if isinstance(base, IsotropicGaussian):
-        return _centered_ball_mass(radius, float(np.hypot(base.scale, k)), model.dim)
-    if isinstance(base, SphericalMixture):
-        terms = [
-            w * _shifted_ball_mass(radius, center, float(np.hypot(scale, k)), model.dim)
-            for w, center, scale in zip(base.weights, base.centers, base.scales)
-        ]
-        return float(np.sum(terms))
-    raise TypeError(f"no exact norm probability for perturbed {type(base).__name__}")
 
 
 def _centered_ball_mass(radius, scale, dim):

@@ -19,12 +19,12 @@ rejection-sampled integers, keeping draw i a pure function of the
 stream position (the modulo bias is ~n * 2^-53).
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import noise as noise_mod
+from ._files import write_csv
 from .noise import SeededStream, normals_from_uniforms
 from .privacy import calibrate_sigma
 from .vectors import as_vector, clip_batch
@@ -112,20 +112,13 @@ class Trajectory:
     def to_csv(self, path):
         """One row per iterate; the clipped-mean column on row t is the
         mean applied when leaving x_t (blank on the final row)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "f", "grad_norm", "clipped_mean_norm", "distance_to_opt"])
-            grad_norms = np.linalg.norm(self.gradients, axis=1)
-            mean_norms = np.linalg.norm(self.clipped_means, axis=1)
-            for t in range(self.steps + 1):
-                mean_col = repr(float(mean_norms[t])) if t < self.steps else ""
-                writer.writerow([
-                    t,
-                    repr(float(self.values[t])),
-                    repr(float(grad_norms[t])),
-                    mean_col,
-                    repr(float(self.distances[t])),
-                ])
+        write_csv(path, ["step", "f", "grad_norm", "clipped_mean_norm", "distance_to_opt"], [
+            np.arange(self.steps + 1),
+            self.values,
+            np.linalg.norm(self.gradients, axis=1),
+            np.append(np.linalg.norm(self.clipped_means, axis=1), np.nan),
+            self.distances,
+        ])
 
 
 def clipped_sgd(problem, config):

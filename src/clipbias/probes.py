@@ -8,11 +8,11 @@ quantities that decide whether clipping is biased (norms, cosines,
 clipped inner products).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_csv
 from .noise import SeededStream, normals_from_uniforms
 from .vectors import as_vector, clip_batch
 
@@ -106,11 +106,8 @@ class Histogram:
         return int(self.counts.sum())
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for lo, hi, cnt in zip(self.edges[:-1], self.edges[1:], self.counts):
-                writer.writerow([repr(float(lo)), repr(float(hi)), int(cnt)])
+        write_csv(path, ["bin_lo", "bin_hi", "count"],
+                  [self.edges[:-1], self.edges[1:], self.counts])
 
 
 def cosine_histogram(rows, reference, bins=50):

@@ -136,7 +136,7 @@ def test_table2_failure_exit_code(tmp_path, monkeypatch):
     assert code == 2
     with open(out / "table2.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[1][-1] == "fail"
+    assert rows[1] == ["1.0", "", "", "", "", "fail"]
 
 
 def test_diagnose_example2_ledger_is_zero_bias(tmp_path):

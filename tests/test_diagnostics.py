@@ -486,12 +486,20 @@ def test_ledger_wasserstein_column():
 
 
 def test_ledger_csv_layout(tmp_path):
-    ledger = descent_ledger(_ledger_run(make_example2(), [0.5], steps=50))
-    out = tmp_path / "ledger.csv"
-    ledger.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "step,grad_norm,lhs,b_t,w_bound,prob_term"
-    assert len(lines) == 51
+    run = _ledger_run(make_example2(), [0.5], steps=50)
+    for wasserstein in (False, True):
+        ledger = descent_ledger(run, wasserstein=wasserstein)
+        out = tmp_path / "ledger.csv"
+        ledger.to_csv(out)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "step,grad_norm,lhs,b_t,w_bound,prob_term"
+        assert len(lines) == 51
+        w_cells = [line.split(",")[4] for line in lines[1:]]
+        if wasserstein:
+            # repr(float) parses back to the same double, bit for bit
+            assert np.array([float(c) for c in w_cells]).tobytes() == ledger.w_bound.tobytes()
+        else:
+            assert w_cells == [""] * 50
 
 
 # Residual clouds are optimum - centers; these centers sum to zero exactly,

@@ -182,6 +182,8 @@ def test_prob_norm_below_monotone_in_radius():
         IsotropicGaussian(1.3, dim=5),
         SphericalMixture([0.3, 0.7], [[1.0, 0.0], [0.0, -2.0]], [0.5, 1.5]),
         Perturbed(Empirical([[1.0, 1.0], [-2.0, 0.5]]), 2.0),
+        Perturbed(IsotropicGaussian(0.8, dim=3), 0.6),
+        Perturbed(SphericalMixture([0.3, 0.7], [[1.0, 0.0], [0.0, -2.0]], [0.0, 1.5]), 0.7),
     ],
 )
 def test_prob_norm_below_exact_vs_monte_carlo(model):

@@ -227,3 +227,15 @@ def test_trajectory_csv_layout(tmp_path):
     assert float(first[4]) == pytest.approx(0.7, abs=1e-15)
     # no clipped mean belongs to the terminal iterate
     assert lines[-1].split(",")[3] == ""
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+    columns = [
+        traj.values,
+        np.linalg.norm(traj.gradients, axis=1),
+        np.linalg.norm(traj.clipped_means, axis=1),
+        traj.distances,
+    ]
+    for col, values in enumerate(columns, start=1):
+        cells = [float(row[col]) for row in rows if row[col] != ""]
+        # repr(float) parses back to the same double, bit for bit
+        assert np.array(cells).tobytes() == values.tobytes()
