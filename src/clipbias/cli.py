@@ -159,14 +159,19 @@ _EXAMPLES_KEYS = {
 
 
 def cmd_examples(args, argv):
-    if args.which not in _EXAMPLES_KEYS:
-        raise CliError(f"unknown experiment {args.which!r}; choose 1, 2 or synthetic")
-    name, specific = _EXAMPLES_KEYS[args.which]
     defaults = dict(
-        which=args.which, clip=1.0, sigma=1.0, k=0.0, seed=0, batch=None, x0=None,
-        out=None, **specific,
+        which=None, clip=1.0, sigma=1.0, k=0.0, seed=0, batch=None, x0=None,
+        out=None, alpha=None, steps=None,
     )
     cfg = _merge_config(args, defaults)
+    if cfg["which"] is None:
+        raise CliError("examples requires --which (1, 2 or synthetic)")
+    if cfg["which"] not in _EXAMPLES_KEYS:
+        raise CliError(f"unknown experiment {cfg['which']!r}; choose 1, 2 or synthetic")
+    name, specific = _EXAMPLES_KEYS[cfg["which"]]
+    for key, value in specific.items():
+        if cfg[key] is None:
+            cfg[key] = value
     out_dir = _require_out(cfg)
     problem = problem_by_name(name, seed=cfg["seed"])
     if cfg["x0"] is None:
@@ -255,17 +260,16 @@ def cmd_table2(args, argv):
 
 
 def cmd_diagnose(args, argv):
-    problem_spec = args.problem
-    if problem_spec is None:
-        raise CliError("diagnose requires --problem (example1, example2, synthetic-mixture, or a JSON file)")
-    seed_default = 0
-    steps_default = 2000 if problem_spec == "synthetic-mixture" else 10000
     defaults = dict(
-        problem=problem_spec, steps=steps_default, batch=1, clip=1.0,
-        seed=seed_default, alpha=None, x0=None, probes=8, bins=50,
+        problem=None, steps=None, batch=1, clip=1.0,
+        seed=0, alpha=None, x0=None, probes=8, bins=50,
         wasserstein="auto", out=None,
     )
     cfg = _merge_config(args, defaults)
+    if cfg["problem"] is None:
+        raise CliError("diagnose requires --problem (example1, example2, synthetic-mixture, or a JSON file)")
+    if cfg["steps"] is None:
+        cfg["steps"] = 2000 if cfg["problem"] == "synthetic-mixture" else 10000
     out_dir = _require_out(cfg)
     problem = _load_problem(cfg["problem"], int(cfg["seed"]))
     steps = int(cfg["steps"])
@@ -378,10 +382,9 @@ def cmd_calibrate(args, argv):
 
 
 def cmd_wasserstein(args, argv):
-    if args.input is None:
+    cfg = _merge_config(args, dict(input=None, clip=None, out=None))
+    if cfg["input"] is None:
         raise CliError("wasserstein requires --input FILE")
-    defaults = dict(input=args.input, clip=None, out=None)
-    cfg = _merge_config(args, defaults)
     out_dir = _require_out(cfg)
     try:
         with open(cfg["input"]) as fh:
@@ -453,7 +456,7 @@ def _build_parser():
     p = sub.add_parser("examples", help="run the divergence/correction demos")
     common(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--which", required=True, help="1, 2 or synthetic")
+    p.add_argument("--which", help="1, 2 or synthetic")
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=float)
     p.add_argument("--sigma", type=float)

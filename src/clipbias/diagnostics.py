@@ -25,7 +25,7 @@ import numpy as np
 from . import noise as noise_mod
 from ._files import write_csv
 from .noise import Empirical, IsotropicGaussian, SphericalMixture, prob_norm_below
-from .vectors import as_vector, clip_batch, norm
+from .vectors import as_vector, clip_batch, row_norms
 
 __all__ = [
     "CheckFailure",
@@ -118,7 +118,7 @@ def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
     return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c))
 
 
-def assert_symmetric(model, tol=1e-12):
+def assert_symmetric(model):
     """Raise ValueError unless the model is symmetric about the origin.
 
     Empirical models are checked atom by atom (every atom needs an
@@ -137,7 +137,7 @@ def assert_symmetric(model, tol=1e-12):
     _, gaps, inverse = noise_mod._merge_atoms(
         np.concatenate([atoms, -atoms]), np.concatenate([weights, -weights])
     )
-    bad = (inverse[n:] >= n) | (np.abs(gaps[:n]) > tol)
+    bad = (inverse[n:] >= n) | (np.abs(gaps[:n]) > 1e-12)
     if np.any(bad):
         atom = atoms[np.argmax(bad)]
         raise ValueError(
@@ -157,8 +157,7 @@ def symmetric_lower_bound(v, model, c, z=0.25, stream=None, mc_samples=0):
     _check_z(z)
     assert_symmetric(model)
     prob = prob_norm_below(model, z * c)[0]
-    nv = float(np.linalg.norm(v))
-    lower = nv * min(nv, (1.0 - z) * c) * prob
+    lower = descent_function(float(np.linalg.norm(v)), c, z) * prob
     est, se = expected_clipped_inner(v, model, c, stream=stream, mc_samples=mc_samples)
     report = BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
     _check_dominates(report)
@@ -193,16 +192,14 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
             f"component mean {mix.centers[bad].tolist()} is negatively aligned with v"
         )
     nv = float(np.linalg.norm(v))
+    cnorms = row_norms(mix.centers)
+    prob_terms = noise_mod._ball_mass(z * c, np.zeros_like(cnorms), mix.scales, mix.dim)
     lower = 0.0
-    prob_terms = np.empty(len(mix.weights))
-    for i, (w, center, scale) in enumerate(zip(mix.weights, mix.centers, mix.scales)):
-        cnorm = float(np.linalg.norm(center))
-        prob_terms[i] = noise_mod._centered_ball_mass(z * c, scale, mix.dim)
-        if cnorm == 0.0 or nv == 0.0:
-            continue
-        cos_align = float(np.dot(center, v)) / (cnorm * nv)
-        lower += w * min(cnorm, (1.0 - z) * c) * cos_align * prob_terms[i]
-    lower *= nv
+    if nv != 0.0:
+        aligned = cnorms != 0.0  # a zero center has no direction and adds nothing
+        cos_align = inners[aligned] / (cnorms[aligned] * nv)
+        terms = mix.weights[aligned] * np.minimum(cnorms[aligned], (1.0 - z) * c) * cos_align
+        lower = nv * float(np.sum(terms * prob_terms[aligned]))
 
     est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: clip_batch(g, c) @ v)
     report = BoundReport(
@@ -298,29 +295,31 @@ def descent_function(y, c, z=0.25):
 def censored_normal_clip_mean(mean, scale, c):
     """E[clip(X, c)] for scalar X ~ N(mean, scale^2), exact.
 
-    Tail masses sit at -c and c; the interior contributes the usual
-    truncated-normal mean terms.
+    ``mean`` may be an array of means, which gives an array of values,
+    each equal to the scalar call. Tail masses sit at -c and c; the
+    interior contributes the usual truncated-normal mean terms.
     """
     from scipy import special  # see the note in clipbias.noise
 
-    mean = float(mean)
+    mean = np.asarray(mean, dtype=np.float64)
     scale = float(scale)
     c = float(c)
     if scale <= 0.0 or not np.isfinite(scale):
         raise ValueError(f"scale must be > 0, got {scale}")
     if c <= 0.0:
         raise ValueError(f"clip threshold must be > 0, got {c}")
-    a = (-c - mean) / scale
-    b = (c - mean) / scale
-    phi_a = np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi)
-    phi_b = np.exp(-0.5 * b * b) / np.sqrt(2.0 * np.pi)
+    with np.errstate(over="ignore"):  # far tails: a * a is inf and phi is 0
+        a = (-c - mean) / scale
+        b = (c - mean) / scale
+        phi_a = np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi)
+        phi_b = np.exp(-0.5 * b * b) / np.sqrt(2.0 * np.pi)
     val = (
         -c * special.ndtr(a)
         + c * special.ndtr(-b)
         + mean * (special.ndtr(b) - special.ndtr(a))
         - scale * (phi_b - phi_a)
     )
-    return float(val)
+    return float(val) if val.ndim == 0 else val
 
 
 def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
@@ -337,16 +336,12 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
         raise ValueError(f"perturbation scale k must be > 0, got {k}")
     dim = v.shape[0]
     _check_dims(v, model.dim)
-    prob = noise_mod._centered_ball_mass(z * c, k, dim)
-    nv = float(np.linalg.norm(v))
-    lower = nv * min(nv, (1.0 - z) * c) * prob
+    prob = prob_norm_below(IsotropicGaussian(k, dim), z * c)[0]
+    lower = descent_function(float(np.linalg.norm(v)), c, z) * prob
     if isinstance(model, Empirical) and dim == 1 and not mc_samples:
         vs = float(v[0])
-        means = vs + model.atoms[:, 0]
-        est = vs * float(np.dot(
-            model.weights,
-            [censored_normal_clip_mean(mu, k, c) for mu in means],
-        ))
+        means = censored_normal_clip_mean(vs + model.atoms[:, 0], k, c)
+        est = vs * float(np.dot(model.weights, means))
         return GapReport(estimate=est, std_error=0.0, lower_bound=lower)
     est, se = expected_clipped_inner(
         v, noise_mod.perturb(model, k), c, stream=stream, mc_samples=mc_samples
@@ -444,7 +439,7 @@ def descent_ledger(trajectory, z=0.25, wasserstein=None):
 
     # reflection keeps every norm, so p and ptilde share this probability
     prob = prob_norm_below(p, z * c)[0]
-    lhs = prob * np.minimum(grad_norms, (1.0 - z) * c) * grad_norms
+    lhs = prob * descent_function(grad_norms, c, z)
 
     w_bound = 0.5 * w_reflected  # NaN when the column is off
     wasserstein_ok = bool((-bias <= w_bound + 1e-10).all()) if wasserstein else None

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vectors import row_norms
+
 # scipy.special and scipy.stats are imported where they are used: together
 # they take about 70 of the 100 MB that importing the package would
 # otherwise cost, and a clipped run with no noise and an atom cloud's
@@ -374,15 +376,11 @@ def _mc_moments(model, stream, mc_samples, statistic):
 
 
 def _prob_norm_exact(model, radius):
-    if isinstance(model, Empirical):
-        norms = np.linalg.norm(model.atoms, axis=1)
-        return float(np.sum(model.weights[norms < radius]))
     weights, centers, scales = _spherical_components(model)
-    terms = [
-        w * _shifted_ball_mass(radius, center, scale, model.dim)
-        for w, center, scale in zip(weights, centers, scales.tolist())
-    ]
-    return float(np.sum(terms))
+    terms = weights * _ball_mass(radius, row_norms(centers), scales, model.dim)
+    # Only the nonzero terms are summed: zeros would regroup numpy's
+    # pairwise sum and move the last bit of an atom cloud's weight sum.
+    return float(np.sum(terms[terms != 0.0]))
 
 
 def _spherical_components(model):
@@ -400,35 +398,33 @@ def _spherical_components(model):
     raise TypeError(f"no exact norm probability for {type(model).__name__}")
 
 
-def _centered_ball_mass(radius, scale, dim):
-    if scale == 0.0:
-        return 1.0 if radius > 0.0 else 0.0
-    ratio = radius / scale
-    if ratio > 1e150:  # squaring would overflow; the mass is 1 to double precision
-        return 1.0
-    from scipy import stats
+def _ball_mass(radius, shifts, scales, dim):
+    """P(||center + scale * N(0, I_dim)|| < radius) for every component,
+    exact, given the norms ``shifts`` of the centers and the ``scales``.
 
-    return float(stats.chi2.cdf(ratio**2, df=dim))
-
-
-def _shifted_ball_mass(radius, center, scale, dim):
-    """P(||center + scale * N(0, I)|| < radius), exact."""
-    shift = float(np.linalg.norm(center))
-    if scale == 0.0:
-        return 1.0 if shift < radius else 0.0
-    if shift == 0.0:
-        return _centered_ball_mass(radius, scale, dim)
-    # Norm concentration: P(||N|| >= sqrt(dim) + 40) < exp(-800), zero in
-    # doubles, so far outside that band the answer is exactly 0 or 1 and
-    # the noncentrality below would overflow for tiny scales.
-    spread = scale * (np.sqrt(dim) + 40.0)
-    if radius >= shift + spread:
-        return 1.0
-    if radius <= shift - spread:
-        return 0.0
+    An atom (scale 0) counts when its shift is below the radius. Norm
+    concentration puts P(||N|| >= sqrt(dim) + 40) below exp(-800), zero in
+    doubles, so outside that band around the shift the mass is exactly 0
+    or 1; inside it the mass is a noncentral chi-square CDF, or a normal
+    CDF where the noncentrality would overflow.
+    """
+    mass = (shifts < radius).astype(np.float64)
+    live = np.flatnonzero(scales > 0.0)
+    if not live.size:
+        return mass
+    shift, scale = shifts[live], scales[live]
+    with np.errstate(over="ignore"):  # a huge shift or a tiny scale leaves the band
+        spread = scale * (np.sqrt(dim) + 40.0)
+        root = shift / scale
+    mass[live] = radius >= shift + spread
+    band = (radius < shift + spread) & (radius > shift - spread)
+    if not band.any():
+        return mass
     from scipy import special, stats
 
-    root = shift / scale
-    if root > 1e150:
-        return float(special.ndtr((radius - shift) / scale))
-    return float(stats.ncx2.cdf((radius / scale) ** 2, df=dim, nc=root**2))
+    idx, shift, scale, root = live[band], shift[band], scale[band], root[band]
+    far = root > 1e150
+    mass[idx[far]] = special.ndtr((radius - shift[far]) / scale[far])
+    near = ~far
+    mass[idx[near]] = stats.ncx2.cdf((radius / scale[near]) ** 2, df=dim, nc=root[near] ** 2)
+    return mass

@@ -56,13 +56,13 @@ def project2d(points, probe):
     return points @ probe.matrix
 
 
-def symmetry_score(points, bins=50, mode="origin", value_range=None):
+def symmetry_score(points, bins=50, mode="origin"):
     """Total-variation distance between a 2-D cloud and its reflection.
 
     Both clouds are histogrammed on shared edges (auto range with a 5%
-    margin unless ``value_range`` is given); the score is half the L1
-    distance of the normalized counts, so it lies in [0, 1] and a cloud
-    that is an exact mirror multiset of itself scores exactly 0.
+    margin); the score is half the L1 distance of the normalized counts,
+    so it lies in [0, 1] and a cloud that is an exact mirror multiset of
+    itself scores exactly 0.
 
     ``mode`` selects the reflection center: "origin" or the empirical
     "mean".
@@ -80,7 +80,7 @@ def symmetry_score(points, bins=50, mode="origin", value_range=None):
     edges = []
     for axis in range(2):
         combined = np.concatenate([points[:, axis], reflected[:, axis]])
-        edges.append(_axis_edges(combined, bins, None if value_range is None else value_range[axis]))
+        edges.append(_axis_edges(combined, bins, None))
     h_points, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=edges)
     h_reflect, _, _ = np.histogram2d(reflected[:, 0], reflected[:, 1], bins=edges)
     n = points.shape[0]

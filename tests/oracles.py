@@ -10,7 +10,7 @@ output against these, never against the package itself.
 import math
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -37,6 +37,22 @@ def censored_mean_quadrature(mean, scale, c):
     val, err = integrate.quad(integrand, -14.0, 14.0, points=kinks or None, limit=400)
     assert err < 1e-8
     return val
+
+
+def ball_masses(radii, shift, scale, dim):
+    """P(||center + scale * N(0, I_dim)|| < r) for each r in ``radii``, for
+    one component whose center has norm ``shift``.
+
+    One scalar chi-square (centered) or noncentral chi-square CDF call on
+    Python floats per component, with no band or overflow shortcuts.
+    """
+    shift, scale = float(shift), float(scale)
+    if scale == 0.0:
+        return [1.0 if shift < r else 0.0 for r in radii]
+    x = [(float(r) / scale) ** 2 for r in radii]
+    if shift == 0.0:
+        return [float(m) for m in stats.chi2.cdf(x, df=dim)]
+    return [float(m) for m in stats.ncx2.cdf(x, df=dim, nc=(shift / scale) ** 2)]
 
 
 def expected_clipped_inner_enum(v, atoms, weights, c):

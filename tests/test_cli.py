@@ -109,6 +109,27 @@ def test_unknown_config_key_rejected(tmp_path):
     assert _run("examples", "--which", 2, "--config", cfg, "--out", tmp_path / "r") == 1
 
 
+@pytest.mark.parametrize("command,file_cfg,resolved", [
+    ("examples", {"which": "2", "steps": 50}, {"alpha": 0.001}),
+    # the steps default follows the problem the file names
+    ("diagnose", {"problem": "example2", "probes": 1}, {"steps": 10000}),
+    ("wasserstein", {"input": "pair.json"}, {}),
+])
+def test_config_file_may_name_every_option(tmp_path, monkeypatch, command, file_cfg, resolved):
+    monkeypatch.chdir(tmp_path)
+    point = {"dim": 1, "atoms": [[2.0]], "weights": [1.0]}
+    (tmp_path / "pair.json").write_text(json.dumps({"v": [1.0], "clip": 1.0, "p": point}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    assert _run(command, "--config", cfg, "--out", tmp_path / "run") == 0
+    eff = _read_json(tmp_path / "run" / "metadata.json")["effective_config"]
+    assert {key: eff[key] for key in {**file_cfg, **resolved}} == {**file_cfg, **resolved}
+    # a value given nowhere is still a configuration error
+    cfg.write_text("{}")
+    assert _run(command, "--config", cfg, "--out", tmp_path / "missing") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_table1_small_grid(tmp_path):
     out = tmp_path / "t1"
     code = _run(

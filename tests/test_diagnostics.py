@@ -83,6 +83,14 @@ def test_censored_mean_odd_and_degenerate():
     a = censored_normal_clip_mean(1.7, 2.0, 1.0)
     b = censored_normal_clip_mean(-1.7, 2.0, 1.0)
     assert a == pytest.approx(-b, abs=1e-14)
+    # an array of means gives the scalar values bit for bit; a tiny scale
+    # puts most means in the far tails, which must not warn
+    means = [-1e200, -7.0, -1.0, -0.3, 0.0, 0.4, 1.0, 7.0, 1e200]
+    for scale in (2.0, 1e-160):
+        want = [censored_normal_clip_mean(m, scale, 1.0) for m in means]
+        assert all(type(w) is float for w in want)
+        got = censored_normal_clip_mean(np.array(means), scale, 1.0)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +260,19 @@ def test_mixture_bound_worked_example():
     v = [0.875, 0.0]
     report = mixture_lower_bound(v, mix, 1.0, stream=SeededStream(1, 0), mc_samples=50_000)
     assert report.lower_bound == pytest.approx(0.4921875, abs=1e-9)
+    assert report.estimate >= report.lower_bound - 3 * report.std_error
+    # a zero-scale component counts whole; a zero-norm center adds no
+    # descent but its ball mass still enters the probability term
+    mix = SphericalMixture(
+        [0.25, 0.5, 0.25], [[2.0, 0.0], [0.5, 0.0], [0.0, 0.0]], [0.01, 0.0, 1.0]
+    )
+    v = [0.75, 0.0]
+    report = mixture_lower_bound(v, mix, 1.0, stream=SeededStream(1, 1), mc_samples=50_000)
+    # 0.75 * (0.25 * min(2, 0.75) * 1 + 0.5 * min(0.5, 0.75) * 1)
+    assert report.lower_bound == 0.328125
+    # in 2-D, P(||N(0, I)|| < r) = 1 - exp(-r^2 / 2)
+    prob = 0.25 + 0.5 + 0.25 * (1.0 - math.exp(-0.25**2 / 2))
+    assert report.prob_term == pytest.approx(prob, abs=1e-12)
     assert report.estimate >= report.lower_bound - 3 * report.std_error
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from clipbias.noise import (
     prob_norm_below,
     symmetrize,
 )
-from oracles import phi_cdf
+from clipbias.problems import make_synthetic_mixture
+from oracles import ball_masses, phi_cdf
 
 RES1 = Empirical([[4.0], [4.0], [-8.0]])
 
@@ -199,6 +202,26 @@ def test_prob_norm_below_degenerate_scales():
     m = Perturbed(Empirical([[3.0, 4.0]]), 1e-300)
     assert prob_norm_below(m, 6.0)[0] == pytest.approx(1.0, abs=1e-12)
     assert prob_norm_below(m, 4.0)[0] == pytest.approx(0.0, abs=1e-12)
+    # a huge atom: the squares of its norm overflow, the norm does not
+    huge = Empirical([[1e200, 0.0]])
+    for model in (huge, perturb(huge, 1.0)):
+        assert prob_norm_below(model, 1e300)[0] == 1.0
+        assert prob_norm_below(model, 0.5e200)[0] == 0.0
+
+
+@pytest.mark.parametrize("k", [1.0, 10.0])
+def test_prob_norm_below_perturbed_cloud_matches_oracle(k):
+    res = make_synthetic_mixture(0).noise_residuals()
+    radii = (0.25, 2.5, 7.0)
+    per_atom = [
+        ball_masses(radii, math.sqrt(math.fsum(x * x for x in row)), k, res.dim)
+        for row in res.atoms.tolist()
+    ]
+    weights = res.weights.tolist()
+    model = perturb(res, k)
+    for i, r in enumerate(radii):
+        want = math.fsum(w * masses[i] for w, masses in zip(weights, per_atom))
+        assert prob_norm_below(model, r)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_json_round_trip():
