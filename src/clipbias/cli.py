@@ -1,11 +1,14 @@
 """Reproducible experiment runner.
 
 Subcommands: examples, table1, table2, diagnose, calibrate,
-wasserstein. Each run reads an optional JSON config file, applies flag
-overrides, writes deterministic data files plus a metadata echo of the
-effective configuration, and finishes with a manifest listing every
-emitted file with a sha256 checksum. Re-running a command with the
-same config reproduces every data file byte for byte. Two files differ:
+wasserstein. Each option is declared once, on its flag: its type,
+choices, default, and whether it is required. A ``--config`` JSON file
+is read as the flags it names (``{"steps": 60}`` is ``--steps=60``), so
+its values pass the same checks; explicit flags override it. Each run
+writes deterministic data files plus a metadata echo of the effective
+configuration, and finishes with a manifest listing every emitted file
+with a sha256 checksum. Re-running a command with the same config
+reproduces every data file byte for byte. Two files differ:
 metadata.json holds a timestamp, and manifest.json lists the checksum
 of metadata.json.
 
@@ -87,27 +90,33 @@ class RunWriter:
 # ---------------------------------------------------------------- config
 
 
-def _merge_config(args, defaults):
-    """defaults <- config file <- explicit flags."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config file {config_path}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise CliError(f"config file {config_path} must hold a JSON object")
-        for key in file_cfg:
-            if key not in cfg:
-                raise CliError(f"unknown config key {key!r}; known keys: {sorted(cfg)}")
-        cfg.update(file_cfg)
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _config_argv(path):
+    """The flags a JSON config file names: its keys and one ``--key=value``
+    token per flag.
+
+    A list is comma-joined, ``true`` is a bare switch, and ``false`` or
+    ``null`` leave the flag at its default. One token per flag keeps a
+    value that starts with a minus sign, such as ``[-1, 0]``, from being
+    read as a flag of its own.
+    """
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    tokens = []
+    for key, value in file_cfg.items():
+        if "help".startswith(key):  # --help would print and exit 0, not run
+            raise CliError(f"unknown config key {key!r}")
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        if value is True:
+            tokens.append(f"--{key}")
+        elif value is not False and value is not None:
+            tokens.append(f"--{key}={value}")
+    return list(file_cfg), tokens
 
 
 def _floats_arg(text):
@@ -151,37 +160,28 @@ def _default_x0(problem, name):
 # ---------------------------------------------------------------- commands
 
 
-_EXAMPLES_KEYS = {
+_EXAMPLES = {
     "1": ("example1", dict(alpha=0.001, steps=20000)),
     "2": ("example2", dict(alpha=0.001, steps=20000)),
     "synthetic": ("synthetic-mixture", dict(alpha=0.015, steps=2000)),
 }
+_TRANSPORT = {"auto": None, "on": True, "off": False}
 
 
-def cmd_examples(args, argv):
-    defaults = dict(
-        which=None, clip=1.0, sigma=1.0, k=0.0, seed=0, batch=None, x0=None,
-        out=None, alpha=None, steps=None,
-    )
-    cfg = _merge_config(args, defaults)
-    if cfg["which"] is None:
-        raise CliError("examples requires --which (1, 2 or synthetic)")
-    if cfg["which"] not in _EXAMPLES_KEYS:
-        raise CliError(f"unknown experiment {cfg['which']!r}; choose 1, 2 or synthetic")
-    name, specific = _EXAMPLES_KEYS[cfg["which"]]
+def cmd_examples(cfg, argv):
+    name, specific = _EXAMPLES[cfg["which"]]
     for key, value in specific.items():
         if cfg[key] is None:
             cfg[key] = value
-    out_dir = _require_out(cfg)
     problem = problem_by_name(name, seed=cfg["seed"])
     if cfg["x0"] is None:
         cfg["x0"] = _default_x0(problem, name)
     opt = OptimizerConfig(
-        alpha=cfg["alpha"], clip=cfg["clip"], steps=int(cfg["steps"]), x0=cfg["x0"],
-        batch=cfg["batch"], sigma=cfg["sigma"], k=cfg["k"], seed=int(cfg["seed"]),
+        alpha=cfg["alpha"], clip=cfg["clip"], steps=cfg["steps"], x0=cfg["x0"],
+        batch=cfg["batch"], sigma=cfg["sigma"], k=cfg["k"], seed=cfg["seed"],
     )
     traj = dp_sgd_perturbed(problem, opt)
-    writer = RunWriter(out_dir)
+    writer = RunWriter(cfg["out"])
     traj.to_csv(writer.path("trajectory.csv"))
     writer.write_json("summary.json", {
         "experiment": name,
@@ -195,17 +195,11 @@ def cmd_examples(args, argv):
     return []
 
 
-def cmd_table1(args, argv):
-    defaults = dict(
-        dims=[1, 10, 100, 1000], ks=[1, 10, 100], samples=100000, seed=0,
-        clip=1.0, vnorm=10.0, extended=False, out=None,
-    )
-    cfg = _merge_config(args, defaults)
+def cmd_table1(cfg, argv):
     if cfg["extended"]:
         cfg["dims"] = sorted(set(cfg["dims"]) | {10000})
         cfg["ks"] = sorted(set(cfg["ks"]) | {1000})
-    out_dir = _require_out(cfg)
-    dims = [int(d) for d in cfg["dims"] for _ in cfg["ks"]]
+    dims = [d for d in cfg["dims"] for _ in cfg["ks"]]
     ks = [float(k) for _ in cfg["dims"] for k in cfg["ks"]]
     cells = np.empty((len(dims), 2))  # estimate, std_error
     for i, (d, k) in enumerate(zip(dims, ks)):
@@ -213,35 +207,28 @@ def cmd_table1(args, argv):
         v[0] = cfg["vnorm"]
         cells[i] = expected_clipped_inner(
             v, perturb(Empirical(np.zeros((1, d))), k), cfg["clip"],
-            stream=SeededStream(int(cfg["seed"]), i),
-            mc_samples=int(cfg["samples"]),
+            stream=SeededStream(cfg["seed"], i), mc_samples=cfg["samples"],
         )
-    writer = RunWriter(out_dir)
+    writer = RunWriter(cfg["out"])
     write_csv(
         writer.path("table1.csv"), ["d", "k", "estimate", "std_error", "samples"],
-        [dims, ks, cells[:, 0], cells[:, 1], np.full(len(dims), int(cfg["samples"]))],
+        [dims, ks, cells[:, 0], cells[:, 1], np.full(len(dims), cfg["samples"])],
     )
     writer.finalize("table1", cfg, argv)
     return []
 
 
-def cmd_table2(args, argv):
-    defaults = dict(
-        norms=[0.05, 0.1, 1.0, 2.0, 10.0, 100.0], samples=100000, seed=0,
-        clip=1.0, out=None,
-    )
-    cfg = _merge_config(args, defaults)
-    out_dir = _require_out(cfg)
+def cmd_table2(cfg, argv):
     model = IsotropicGaussian(1.0, 1)
-    norms = [float(nv) for nv in cfg["norms"]]
+    norms = cfg["norms"]
     cells = np.full((len(norms), 4), np.nan)  # a failed row stays blank
     checks = []
     failures = []
     for i, nv in enumerate(norms):
         try:
             rep = symmetric_lower_bound(
-                [nv], model, cfg["clip"], stream=SeededStream(int(cfg["seed"]), i),
-                mc_samples=int(cfg["samples"]),
+                [nv], model, cfg["clip"], stream=SeededStream(cfg["seed"], i),
+                mc_samples=cfg["samples"],
             )
         except CheckFailure as exc:
             failures.append(str(exc))
@@ -249,7 +236,7 @@ def cmd_table2(args, argv):
             continue
         cells[i] = rep.estimate, rep.std_error, rep.lower_bound, rep.prob_term
         checks.append("pass")
-    writer = RunWriter(out_dir)
+    writer = RunWriter(cfg["out"])
     write_csv(
         writer.path("table2.csv"),
         ["grad_norm", "estimate", "std_error", "lower_bound", "prob_term", "check"],
@@ -259,36 +246,23 @@ def cmd_table2(args, argv):
     return failures
 
 
-def cmd_diagnose(args, argv):
-    defaults = dict(
-        problem=None, steps=None, batch=1, clip=1.0,
-        seed=0, alpha=None, x0=None, probes=8, bins=50,
-        wasserstein="auto", out=None,
-    )
-    cfg = _merge_config(args, defaults)
-    if cfg["problem"] is None:
-        raise CliError("diagnose requires --problem (example1, example2, synthetic-mixture, or a JSON file)")
+def cmd_diagnose(cfg, argv):
     if cfg["steps"] is None:
         cfg["steps"] = 2000 if cfg["problem"] == "synthetic-mixture" else 10000
-    out_dir = _require_out(cfg)
-    problem = _load_problem(cfg["problem"], int(cfg["seed"]))
-    steps = int(cfg["steps"])
-    alpha = cfg["alpha"] if cfg["alpha"] is not None else 1.0 / np.sqrt(steps)
+    problem = _load_problem(cfg["problem"], cfg["seed"])
+    if cfg["alpha"] is None:
+        cfg["alpha"] = float(1.0 / np.sqrt(cfg["steps"]))
     x0 = cfg["x0"] if cfg["x0"] is not None else _default_x0(problem, cfg["problem"])
-    batch = cfg["batch"]
-    if batch is not None:
-        batch = min(int(batch), problem.n)
     # echo the resolved values so metadata alone can replay the run
-    cfg.update(alpha=float(alpha), x0=[float(t) for t in x0], batch=batch)
+    cfg.update(x0=[float(t) for t in x0], batch=min(cfg["batch"], problem.n))
     opt = OptimizerConfig(
-        alpha=float(alpha), clip=cfg["clip"], steps=steps, x0=x0,
-        batch=batch, sigma=0.0, k=0.0, seed=int(cfg["seed"]),
+        alpha=cfg["alpha"], clip=cfg["clip"], steps=cfg["steps"], x0=x0,
+        batch=cfg["batch"], sigma=0.0, k=0.0, seed=cfg["seed"],
     )
     traj = clipped_sgd(problem, opt)
-    want_w = {"auto": None, "on": True, "off": False}[str(cfg["wasserstein"])]
-    ledger = descent_ledger(traj, wasserstein=want_w)
+    ledger = descent_ledger(traj, wasserstein=_TRANSPORT[cfg["wasserstein"]])
 
-    writer = RunWriter(out_dir)
+    writer = RunWriter(cfg["out"])
     ledger.to_csv(writer.path("ledger.csv"))
 
     final = traj.iterates[-1]
@@ -296,21 +270,21 @@ def cmd_diagnose(args, argv):
     ref = problem.full_gradient(final)
     residuals = rows - ref[None, :]
     probe_scores = {}
-    for i in range(int(cfg["probes"])):
-        probe_seed = int(cfg["seed"]) * 1000 + i
+    for i in range(cfg["probes"]):
+        probe_seed = cfg["seed"] * 1000 + i
         probe = ProjectionProbe.random(problem.dim, probe_seed)
         points = project2d(rows, probe)
         write_csv(writer.path(f"scatter_seed{probe_seed}.csv"), ["x", "y"], points.T)
         if len(points) >= 2:  # a single-sample ensemble has no symmetry to score
             probe_scores[str(probe_seed)] = {
                 "residual_origin": symmetry_score(
-                    project2d(residuals, probe), bins=int(cfg["bins"])
+                    project2d(residuals, probe), bins=cfg["bins"]
                 ),
-                "gradient_mean": symmetry_score(points, bins=int(cfg["bins"]), mode="mean"),
+                "gradient_mean": symmetry_score(points, bins=cfg["bins"], mode="mean"),
             }
-    cos_hist = cosine_histogram(rows, ref, bins=int(cfg["bins"]))
+    cos_hist = cosine_histogram(rows, ref, bins=cfg["bins"])
     cos_hist.to_csv(writer.path("hist_cosine.csv"))
-    stats = gradient_ensemble_stats(rows, ref, cfg["clip"], bins=int(cfg["bins"]))
+    stats = gradient_ensemble_stats(rows, ref, cfg["clip"], bins=cfg["bins"])
     for name, hist in stats.histograms().items():
         hist.to_csv(writer.path(f"hist_{name}.csv"))
 
@@ -341,22 +315,13 @@ def cmd_diagnose(args, argv):
     return []
 
 
-def cmd_calibrate(args, argv):
-    defaults = dict(
-        epsilon=None, delta=None, n=None, T=None, m=None,
-        uconst=1.0, vconst=1.0, clip=1.0, out=None,
-    )
-    cfg = _merge_config(args, defaults)
-    for key in ("epsilon", "delta", "n", "T", "m"):
-        if cfg[key] is None:
-            raise CliError(f"calibrate requires --{key}")
+def cmd_calibrate(cfg, argv):
     try:
         budget = PrivacyBudget(
-            epsilon=float(cfg["epsilon"]), delta=float(cfg["delta"]),
-            n=int(cfg["n"]), T=int(cfg["T"]), m=int(cfg["m"]),
-            u=float(cfg["uconst"]), v=float(cfg["vconst"]),
+            epsilon=cfg["epsilon"], delta=cfg["delta"], n=cfg["n"], T=cfg["T"],
+            m=cfg["m"], u=cfg["uconst"], v=cfg["vconst"],
         )
-        sigma = calibrate_sigma(budget, float(cfg["clip"]))
+        sigma = calibrate_sigma(budget, cfg["clip"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {
@@ -367,7 +332,7 @@ def cmd_calibrate(args, argv):
         "m": budget.m,
         "u": budget.u,
         "v": budget.v,
-        "clip": float(cfg["clip"]),
+        "clip": cfg["clip"],
         "sigma": sigma,
         "sigma_squared": sigma * sigma,
         "epsilon_in_regime": check_epsilon_regime(budget),
@@ -381,11 +346,7 @@ def cmd_calibrate(args, argv):
     return []
 
 
-def cmd_wasserstein(args, argv):
-    cfg = _merge_config(args, dict(input=None, clip=None, out=None))
-    if cfg["input"] is None:
-        raise CliError("wasserstein requires --input FILE")
-    out_dir = _require_out(cfg)
+def cmd_wasserstein(cfg, argv):
     try:
         with open(cfg["input"]) as fh:
             payload = json.load(fh)
@@ -417,7 +378,7 @@ def cmd_wasserstein(args, argv):
     }
     if symmetrized_default:
         checks["symmetrized_cap"] = bool(w <= cap + 1e-9)
-    writer = RunWriter(out_dir)
+    writer = RunWriter(cfg["out"])
     writer.write_json("wasserstein.json", {
         "v": v,
         "clip": c,
@@ -428,12 +389,6 @@ def cmd_wasserstein(args, argv):
     })
     writer.finalize("wasserstein", cfg, argv)
     return [f"check {name} failed" for name, ok in checks.items() if not ok]
-
-
-def _require_out(cfg):
-    if not cfg.get("out"):
-        raise CliError("this command writes files; pass --out DIR")
-    return cfg["out"]
 
 
 # ---------------------------------------------------------------- parser
@@ -448,68 +403,62 @@ def _build_parser():
     parser = _Parser(prog="clipbias", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p):
-        p.add_argument("--out")
-        p.add_argument("--config")
-        p.add_argument("--clip", type=float)
+    def command(name, handler, help, out_required=True, clip=1.0):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--config", help="JSON file read as the flags it names")
+        p.add_argument("--clip", type=float, default=clip)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("examples", help="run the divergence/correction demos")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--which", help="1, 2 or synthetic")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
+    p = command("examples", cmd_examples, "run the divergence/correction demos")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--which", required=True, choices=_EXAMPLES)
+    p.add_argument("--alpha", type=float, help="default: set by --which")
+    p.add_argument("--k", type=float, default=0.0)
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--steps", type=int, help="default: set by --which")
+    p.add_argument("--batch", type=int, help="default: the full data set")
     p.add_argument("--x0", type=_floats_arg)
-    p.set_defaults(handler=cmd_examples)
 
-    p = sub.add_parser("table1", help="perturbed clipped-inner grid")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--dims", type=_ints_arg)
-    p.add_argument("--ks", type=_floats_arg)
-    p.add_argument("--vnorm", type=float)
-    p.add_argument("--extended", action="store_true", default=None)
-    p.set_defaults(handler=cmd_table1)
+    p = command("table1", cmd_table1, "perturbed clipped-inner grid")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--dims", type=_ints_arg, default=[1, 10, 100, 1000])
+    p.add_argument("--ks", type=_floats_arg, default=[1, 10, 100])
+    p.add_argument("--vnorm", type=float, default=10.0)
+    p.add_argument("--extended", action="store_true", help="add d=10000 and k=1000")
 
-    p = sub.add_parser("table2", help="symmetric lower-bound check table")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--norms", type=_floats_arg)
-    p.set_defaults(handler=cmd_table2)
+    p = command("table2", cmd_table2, "symmetric lower-bound check table")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--norms", type=_floats_arg, default=[0.05, 0.1, 1.0, 2.0, 10.0, 100.0])
 
-    p = sub.add_parser("diagnose", help="trajectory ledger plus ensemble probes")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--problem")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
+    p = command("diagnose", cmd_diagnose, "trajectory ledger plus ensemble probes")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--problem", required=True,
+                   help="example1, example2, synthetic-mixture, or a problem JSON file")
+    p.add_argument("--alpha", type=float, help="default: 1/sqrt(steps)")
+    p.add_argument("--steps", type=int, help="default: 2000 on synthetic-mixture, else 10000")
+    p.add_argument("--batch", type=int, default=1)
     p.add_argument("--x0", type=_floats_arg)
-    p.add_argument("--probes", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--wasserstein", choices=["auto", "on", "off"])
-    p.set_defaults(handler=cmd_diagnose)
+    p.add_argument("--probes", type=int, default=8)
+    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--wasserstein", choices=_TRANSPORT, default="auto")
 
-    p = sub.add_parser("calibrate", help="noise scale for a privacy budget")
-    common(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--m", type=int)
-    p.add_argument("--uconst", type=float)
-    p.add_argument("--vconst", type=float)
-    p.set_defaults(handler=cmd_calibrate)
+    p = command("calibrate", cmd_calibrate, "noise scale for a privacy budget",
+                out_required=False)
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--T", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--uconst", type=float, default=1.0)
+    p.add_argument("--vconst", type=float, default=1.0)
 
-    p = sub.add_parser("wasserstein", help="transport distance for a model pair")
-    common(p)
-    p.add_argument("--input")
-    p.set_defaults(handler=cmd_wasserstein)
+    p = command("wasserstein", cmd_wasserstein, "transport distance for a model pair",
+                clip=None)
+    p.add_argument("--input", required=True)
 
     return parser
 
@@ -517,10 +466,22 @@ def _build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
+        keys, tokens = _config_argv(path) if path else ([], [])
+        # the file's flags sit between the command and the explicit flags,
+        # so an explicit flag wins
+        args = _build_parser().parse_args(argv[:1] + tokens + argv[1:])
         if getattr(args, "handler", None) is None:
             raise CliError("missing command; try --help")
-        failures = args.handler(args, argv)
+        cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "handler")}
+        # a key names a whole flag: argparse would take an abbreviation,
+        # and a false or null value makes no token it could reject
+        unknown = [key for key in keys if key not in cfg]
+        if unknown:
+            raise CliError(f"unknown config keys {unknown}; known keys: {sorted(cfg)}")
+        failures = args.handler(cfg, argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

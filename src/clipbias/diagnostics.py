@@ -25,7 +25,7 @@ import numpy as np
 from . import noise as noise_mod
 from ._files import write_csv
 from .noise import Empirical, IsotropicGaussian, SphericalMixture, prob_norm_below
-from .vectors import as_vector, clip_batch, row_norms
+from .vectors import _check_threshold, as_vector, clip_batch, norm, row_norms
 
 __all__ = [
     "CheckFailure",
@@ -157,7 +157,7 @@ def symmetric_lower_bound(v, model, c, z=0.25, stream=None, mc_samples=0):
     _check_z(z)
     assert_symmetric(model)
     prob = prob_norm_below(model, z * c)[0]
-    lower = descent_function(float(np.linalg.norm(v)), c, z) * prob
+    lower = descent_function(norm(v), c, z) * prob
     est, se = expected_clipped_inner(v, model, c, stream=stream, mc_samples=mc_samples)
     report = BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
     _check_dominates(report)
@@ -181,7 +181,8 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
     mix = gradient_mixture
     _check_dims(v, mix.dim)
     mean = mix.mean()
-    if float(np.linalg.norm(mean - v)) > 1e-9 * max(1.0, float(np.linalg.norm(v))):
+    nv = norm(v)
+    if norm(mean - v) > 1e-9 * max(1.0, nv):
         raise ValueError(
             f"component means average to {mean.tolist()}, not to v={v.tolist()}"
         )
@@ -191,7 +192,6 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         raise ValueError(
             f"component mean {mix.centers[bad].tolist()} is negatively aligned with v"
         )
-    nv = float(np.linalg.norm(v))
     cnorms = row_norms(mix.centers)
     prob_terms = noise_mod._ball_mass(z * c, np.zeros_like(cnorms), mix.scales, mix.dim)
     lower = 0.0
@@ -282,13 +282,14 @@ def _transport_rows(scores_p, weights_p, scores_q, weights_q):
 
 
 def descent_function(y, c, z=0.25):
-    """min(y^2, (1-z)*c*y) for y >= 0: the guaranteed descent rate as a
-    function of the gradient norm."""
+    """y * min(y, (1-z)*c) for y >= 0: the guaranteed descent rate as a
+    function of the gradient norm. Equal to min(y^2, (1-z)*c*y) bit for
+    bit, as rounding is monotone, and it does not square a huge y."""
     _check_z(z)
     y = np.asarray(y, dtype=np.float64)
     if np.any(y < 0.0):
         raise ValueError("descent_function is defined for y >= 0")
-    out = np.minimum(y * y, (1.0 - z) * float(c) * y)
+    out = np.minimum(y, (1.0 - z) * float(c)) * y
     return float(out) if out.ndim == 0 else out
 
 
@@ -306,8 +307,7 @@ def censored_normal_clip_mean(mean, scale, c):
     c = float(c)
     if scale <= 0.0 or not np.isfinite(scale):
         raise ValueError(f"scale must be > 0, got {scale}")
-    if c <= 0.0:
-        raise ValueError(f"clip threshold must be > 0, got {c}")
+    _check_threshold(c)
     with np.errstate(over="ignore"):  # far tails: a * a is inf and phi is 0
         a = (-c - mean) / scale
         b = (c - mean) / scale
@@ -332,12 +332,12 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     v = as_vector(v)
     _check_z(z)
     k = float(k)
-    if k <= 0.0:
-        raise ValueError(f"perturbation scale k must be > 0, got {k}")
+    if not 0.0 < k < np.inf:
+        raise ValueError(f"perturbation scale k must be a positive real, got {k}")
     dim = v.shape[0]
     _check_dims(v, model.dim)
     prob = prob_norm_below(IsotropicGaussian(k, dim), z * c)[0]
-    lower = descent_function(float(np.linalg.norm(v)), c, z) * prob
+    lower = descent_function(norm(v), c, z) * prob
     if isinstance(model, Empirical) and dim == 1 and not mc_samples:
         vs = float(v[0])
         means = censored_normal_clip_mean(vs + model.atoms[:, 0], k, c)

@@ -71,11 +71,11 @@ def cosine(a, b):
     b = as_vector(b)
     if a.shape != b.shape:
         raise ValueError(f"dim mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na, nb = row_norms(np.stack([a, b]))
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine is undefined for the zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    # unit vectors first: the dot of two huge vectors would overflow
+    return float(np.clip(np.dot(a / na, b / nb), -1.0, 1.0))
 
 
 def clip(g, c):

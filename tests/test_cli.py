@@ -130,6 +130,55 @@ def test_config_file_may_name_every_option(tmp_path, monkeypatch, command, file_
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command,file_cfg", [
+    ("table1", {"extended": "false"}),  # a switch takes true, not a string
+    ("table2", {"seed": 1.7}),
+    ("diagnose", {"problem": "example1", "probes": 1.9}),
+    ("diagnose", {"problem": "example1", "wasserstein": "maybe"}),
+    ("examples", {"which": "2", "config": "other.json"}),
+    ("examples", {"which": "2", "step": 5}),  # a key names a whole flag
+    ("examples", {"which": "2", "stepz": None}),
+    ("table2", {"help": True}),
+])
+def test_ill_typed_config_values_are_rejected(tmp_path, command, file_cfg):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    assert _run(command, "--config", cfg, "--out", tmp_path / "run") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_bare_config_flag_is_config_error(tmp_path):
+    assert _run("examples", "--which", 2, "--out", tmp_path / "run", "--config") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_lists_run_as_their_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    runs = [
+        ({"which": "1", "steps": 100, "x0": [-1.5], "k": 2}, ("examples",),
+         ("examples", "--which", 1, "--steps", 100, "--x0=-1.5", "--k", 2.0)),
+        ({"problem": "synthetic-mixture", "steps": 20, "probes": 1,
+          "x0": [-1, 0, 0.5, 0, 0, 0, 0, 0, 0, 2], "wasserstein": "off"}, ("diagnose",),
+         ("diagnose", "--problem", "synthetic-mixture", "--steps", 20, "--probes", 1,
+          "--x0=-1,0,0.5,0,0,0,0,0,0,2", "--wasserstein", "off")),
+        ({"dims": [1, 10], "ks": [1, 10], "samples": 2000, "extended": False}, ("table1",),
+         ("table1", "--dims", "1,10", "--ks", "1,10", "--samples", 2000)),
+    ]
+    for idx, (file_cfg, from_file, flags) in enumerate(runs):
+        cfg.write_text(json.dumps(file_cfg))
+        a, b = tmp_path / f"file{idx}", tmp_path / f"flags{idx}"
+        assert _run(*from_file, "--config", cfg, "--out", a) == 0
+        assert _run(*flags, "--out", b) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            if name not in ("metadata.json", "manifest.json"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        eff_a = _read_json(a / "metadata.json")["effective_config"]
+        eff_b = _read_json(b / "metadata.json")["effective_config"]
+        assert {**eff_a, "out": None} == {**eff_b, "out": None}
+
+
 def test_table1_small_grid(tmp_path):
     out = tmp_path / "t1"
     code = _run(

@@ -83,6 +83,9 @@ def test_censored_mean_odd_and_degenerate():
     a = censored_normal_clip_mean(1.7, 2.0, 1.0)
     b = censored_normal_clip_mean(-1.7, 2.0, 1.0)
     assert a == pytest.approx(-b, abs=1e-14)
+    for c in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="clip threshold"):
+            censored_normal_clip_mean(0.0, 1.0, c)
     # an array of means gives the scalar values bit for bit; a tiny scale
     # puts most means in the far tails, which must not warn
     means = [-1e200, -7.0, -1.0, -0.3, 0.0, 0.4, 1.0, 7.0, 1e200]
@@ -235,6 +238,9 @@ def test_symmetric_bound_branches():
     # ||v|| above: linear branch
     r2 = symmetric_lower_bound([2.0], model, 1.0)
     assert r2.lower_bound == pytest.approx(2.0 * 0.75 * r2.prob_term, abs=1e-14)
+    # ||v||^2 overflows here; the linear branch does not
+    r3 = symmetric_lower_bound([1e200], symmetrize(Empirical([[0.1]])), 1.0)
+    assert r3.lower_bound == 1e200 * 0.75 and r3.margin >= 0.0
 
 
 def test_symmetric_bound_rejects_asymmetric_model():
@@ -391,6 +397,7 @@ def test_descent_function_values():
     assert descent_function(0.0, 1.0) == 0.0
     assert descent_function(0.5, 1.0) == 0.25
     assert descent_function(2.0, 1.0) == 1.5
+    assert descent_function(1e200, 1.0) == 0.75 * 1e200  # y^2 would overflow
     with pytest.raises(ValueError):
         descent_function(-1.0, 1.0)
     with pytest.raises(ValueError):
@@ -427,8 +434,12 @@ def test_perturbation_gap_point_mass_respects_bound():
     # symmetric case: no bias, estimate dominates the bound outright
     report = perturbation_gap([0.5], Empirical([[0.0]]), 1.0, 2.0)
     assert report.gap >= -1e-12
-    with pytest.raises(ValueError):
-        perturbation_gap([0.5], RES1, 1.0, 0.0)
+    for k in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="perturbation scale k"):
+            perturbation_gap([0.5], RES1, 1.0, k)
+    # ||v||^2 overflows here; the bound is the linear branch
+    report = perturbation_gap([1e200], Empirical([[0.1]]), 1.0, 1.0)
+    assert np.isfinite(report.lower_bound) and report.gap >= 0.0
 
 
 def test_perturbation_gap_tiny_k_has_unit_ball_mass():

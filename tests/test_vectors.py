@@ -47,6 +47,8 @@ def test_inner_and_cosine():
         vectors.inner([1.0], [1.0, 2.0])
     assert vectors.cosine([2.0, 0.0], [5.0, 0.0]) == 1.0
     assert vectors.cosine([1.0, 0.0], [-3.0, 0.0]) == -1.0
+    # the product of two huge norms overflows; the unit vectors do not
+    assert vectors.cosine([1e200, 0.0], [1e200, 0.0]) == 1.0
     with pytest.raises(ValueError):
         vectors.cosine([0.0, 0.0], [1.0, 0.0])
 
