@@ -107,7 +107,7 @@ def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     if isinstance(model, Empirical) and not mc_samples:
         scores = clip_scores(v, model.atoms, c)
         return float(np.dot(model.weights, scores)), 0.0
-    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: clip_scores(v, xi, c))
+    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c), v)
 
 
 def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
@@ -201,7 +201,7 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         terms = mix.weights[aligned] * np.minimum(cnorms[aligned], (1.0 - z) * c) * cos_align
         lower = nv * float(np.sum(terms * prob_terms[aligned]))
 
-    est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: clip_batch(g, c) @ v)
+    est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: clip_batch(g, c), v)
     report = BoundReport(
         estimate=est,
         std_error=se,

@@ -44,9 +44,14 @@ _U_FLOOR = 2.0 ** -54
 # hold: Monte Carlo draws, ledger score blocks, optimizer noise blocks.
 _CHUNK_DOUBLES = 1 << 22
 
-# Doubles (512 KB) in one row slice of a ledger score block: small enough
-# that its elementwise passes run in L2 rather than from memory.
+# Doubles (512 KB) in one row slice of a ledger score block or of a Monte
+# Carlo block: small enough that its elementwise passes run in L2 rather
+# than from memory.
 _SLICE_DOUBLES = 1 << 16
+
+# Monte Carlo squares are summed scaled by a power of two once a block
+# holds a value this large, so that they stay finite.
+_SQUARE_LIMIT = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,15 @@ class SeededStream:
 
 
 def normals_from_uniforms(u):
-    """Map uniforms in [0, 1) to standard normals via the inverse CDF."""
+    """Map uniforms in [0, 1) to standard normals via the inverse CDF.
+
+    Works in place: ``u`` (a float64 array) is overwritten by the normals
+    and returned, so pass a fresh array of draws, never one still needed.
+    """
     from scipy import special
 
-    return special.ndtri(np.maximum(u, _U_FLOOR))
+    np.maximum(u, _U_FLOOR, out=u)
+    return special.ndtri(u, out=u)
 
 
 def _resolve_generator(stream):
@@ -193,7 +203,9 @@ class IsotropicGaussian(_Model):
         return self.dim
 
     def _from_uniform_rows(self, u):
-        return self.scale * normals_from_uniforms(u)
+        z = normals_from_uniforms(u)
+        z *= self.scale
+        return z
 
     def mean(self):
         return np.zeros(self.dim)
@@ -235,7 +247,9 @@ class SphericalMixture(_Model):
         idx = np.searchsorted(self._cum, u[:, 0], side="right")
         idx = np.minimum(idx, len(self.weights) - 1)
         z = normals_from_uniforms(u[:, 1:])
-        return self.centers[idx] + self.scales[idx][:, None] * z
+        z *= self.scales[idx][:, None]
+        z += self.centers[idx]
+        return z
 
     def mean(self):
         return self.weights @ self.centers
@@ -267,7 +281,9 @@ class Perturbed(_Model):
     def _from_uniform_rows(self, u):
         split = self.base.rows_per_draw
         z = normals_from_uniforms(u[:, split:])
-        return self.base._from_uniform_rows(u[:, :split]) + self.k * z
+        z *= self.k
+        z += self.base._from_uniform_rows(u[:, :split])
+        return z
 
     def mean(self):
         return self.base.mean()
@@ -338,14 +354,23 @@ def prob_norm_below(model, radius, stream=None, mc_samples=0):
     return _prob_norm_exact(model, radius), 0.0
 
 
-def _mc_moments(model, stream, mc_samples, statistic):
-    """Monte Carlo mean and standard error of ``statistic`` under ``model``.
+def _mc_moments(model, stream, mc_samples, row_map, project=None):
+    """Monte Carlo mean and standard error of a per-draw statistic.
 
-    ``statistic`` maps a block of draws, shape ``(rows, dim)``, to one
-    value or one vector per row; the result is ``(mean, std_error)`` of
-    that shape. Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus
-    draws and continue one generator, so the draws equal one batch of
-    ``mc_samples`` whatever the block size.
+    ``row_map`` maps draws of ``model``, shape ``(rows, dim)``, to one
+    value or one vector per row; with ``project`` the statistic is that
+    vector's dot product with ``project``. The result is ``(mean,
+    std_error)`` of the statistic's shape.
+
+    Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws. Each block
+    is drawn and mapped in row slices of at most ``_SLICE_DOUBLES``, so
+    the elementwise work runs in cache, and the slices fill one block
+    buffer that is reused for every block. Every slice continues one
+    generator, so the draws equal one batch of ``mc_samples`` whatever
+    the block or slice size. The projection and the sums run once per
+    block on that buffer: a matrix-vector product's rows change in the
+    last bit with the row count, so the bits depend on the block size
+    alone.
     """
     if not mc_samples:
         raise ValueError(
@@ -357,19 +382,37 @@ def _mc_moments(model, stream, mc_samples, statistic):
     count = int(mc_samples)
     if count < 0:
         raise ValueError(f"mc_samples must be >= 0, got {count}")
-    block = max(1, _CHUNK_DOUBLES // (model.rows_per_draw + model.dim))
+    width = model.rows_per_draw + model.dim
+    block = min(count, max(1, _CHUNK_DOUBLES // width))
+    rows = min(block, max(1, _SLICE_DOUBLES // width))
+    mapped = None
     # -0.0 is the exact additive identity, so a single block sums as itself
     total = total_sq = -0.0
+    power = 0  # the squares are summed scaled by 2 ** (-2 * power)
     for done in range(0, count, block):
-        draws = model.sample(gen, min(block, count - done))
-        values = np.asarray(statistic(draws), dtype=np.float64)
+        n = min(block, count - done)
+        for lo in range(0, n, rows):
+            part = row_map(model.sample(gen, min(rows, n - lo)))
+            if mapped is None:
+                mapped = np.empty((block,) + part.shape[1:])
+            mapped[lo:lo + part.shape[0]] = part
+        values = mapped[:n] if project is None else mapped[:n] @ project
         total = total + values.sum(axis=0)
+        top = np.ldexp(max(values.max(), -values.min()), -power)
+        if top >= _SQUARE_LIMIT:
+            # powers of two scale exactly, so the running sum keeps its bits
+            grow = int(np.frexp(top)[1])
+            total_sq = np.ldexp(total_sq, -2 * grow)
+            power += grow
+        if power:
+            values = np.ldexp(values, -power)
         total_sq = total_sq + (values * values).sum(axis=0)
     mean = total / count
-    var = np.maximum(total_sq / count - mean * mean, 0.0)
+    scaled = np.ldexp(mean, -power)
+    var = np.maximum(total_sq / count - scaled * scaled, 0.0)
     if count > 1:
         var = var * (count / (count - 1))
-    se = np.sqrt(var / count)
+    se = np.ldexp(np.sqrt(var / count), power)
     if np.ndim(mean) == 0:
         return float(mean), float(se)
     return mean, se

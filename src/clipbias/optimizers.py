@@ -244,6 +244,10 @@ def _engine(problem, config, sigma, k, seeds, record):
     centers = problem.centers
 
     block = max(1, noise_mod._CHUNK_DOUBLES // max(1, R * m * d))
+    # Each block's noise is drawn into these buffers, one seed's rows at a
+    # time, and scaled there once: k * zeta and sigma * Z.
+    zetas = np.empty((R, min(block, T), m, d)) if k > 0.0 else None
+    Zs = np.empty((R, min(block, T), d)) if sigma > 0.0 else None
     for lo in range(0, T, block):
         B = min(block, T - lo)
         if subsample:
@@ -251,11 +255,11 @@ def _engine(problem, config, sigma, k, seeds, record):
                 np.minimum((g.random((B, m)) * n).astype(np.intp), n - 1) for g in idx_gens
             ])  # (R, B, m)
         if k > 0.0:
-            zeta = np.stack([
-                normals_from_uniforms(g.random((B, m, d))) for g in pert_gens
-            ])  # (R, B, m, d)
+            zeta = _normals(pert_gens, zetas[:, :B])
+            zeta *= k
         if sigma > 0.0:
-            Z = np.stack([normals_from_uniforms(g.random((B, d))) for g in dp_gens])
+            Z = _normals(dp_gens, Zs[:, :B])
+            Z *= sigma
         for b in range(B):
             t = lo + b
             if subsample:
@@ -263,7 +267,7 @@ def _engine(problem, config, sigma, k, seeds, record):
             else:
                 grads = X[:, None, :] - centers[None, :, :]
             if k > 0.0:
-                grads = grads + k * zeta[:, b]
+                grads = grads + zeta[:, b]
             try:
                 clipped = clip_batch(grads.reshape(R * m, d), config.clip)
             except ValueError:
@@ -276,13 +280,20 @@ def _engine(problem, config, sigma, k, seeds, record):
             if record:
                 gms[t] = g
             if sigma > 0.0:
-                g = g + sigma * Z[:, b]
+                g = g + Z[:, b]
             X = X - config.alpha * g
             if record:
                 xs[t + 1] = X
     if not np.all(np.isfinite(X)):
         raise _diverged(T, "the iterate", X, seeds)
     return X, xs, gms
+
+
+def _normals(gens, out):
+    """Standard normals from each seed's generator into its row of ``out``."""
+    for g, rows in zip(gens, out):
+        g.random(out=rows)
+    return normals_from_uniforms(out)
 
 
 def _diverged(step, what, values, seeds):

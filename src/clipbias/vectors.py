@@ -15,6 +15,9 @@ import numpy as np
 
 __all__ = ["clip", "clip_batch", "norm", "row_norms", "inner", "cosine", "as_vector"]
 
+# Row norms below this lose bits to the underflow of their squares.
+_NORM_FLOOR = 2.0 ** -511
+
 
 def as_vector(v):
     """Coerce to a finite 1-D float64 array of dim >= 1."""
@@ -35,19 +38,22 @@ def row_norms(rows):
     """
     rows = np.asarray(rows, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    # A norm above ~1.3e154 overflows in the squares. This dot product is
-    # finite unless some norm is that large, inf or NaN, and costs less
-    # per call than an isinf scan.
-    if not norms.dot(norms) < np.inf:
-        # Redo the finite rows whose norm is inf scaled by a power of two,
-        # which is exact: a huge row's norm is its scaled copy's norm
-        # times that power.
-        big = np.flatnonzero(np.isinf(norms))
-        big = big[np.all(np.isfinite(rows[big]), axis=1)]
-        _, exp = np.frexp(np.max(np.abs(rows[big]), axis=1))
-        scaled = np.ldexp(rows[big], -exp[:, None])
+    # A norm above ~1.3e154 overflows in the squares, and one below 2^-511
+    # loses bits to their underflow. This dot product is finite unless some
+    # norm is that large, inf or NaN, and costs less per call than an isinf
+    # scan; the minimum finds the small ones.
+    if not (norms.dot(norms) < np.inf and norms.min(initial=np.inf) >= _NORM_FLOOR):
+        # Redo the finite nonzero rows whose norm is inf or small scaled by
+        # a power of two, which is exact: such a row's norm is its scaled
+        # copy's norm times that power.
+        redo = np.flatnonzero(np.isinf(norms) | (norms < _NORM_FLOOR))
+        peak = np.max(np.abs(rows[redo]), axis=1, initial=0.0)
+        keep = (peak > 0.0) & (peak < np.inf)
+        redo = redo[keep]
+        _, exp = np.frexp(peak[keep])
+        scaled = np.ldexp(rows[redo], -exp[:, None])
         with np.errstate(over="ignore"):  # a norm beyond the doubles stays inf
-            norms[big] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+            norms[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
     return norms
 
 

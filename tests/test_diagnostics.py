@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,72 @@ def test_monte_carlo_estimates_do_not_depend_on_blocking(monkeypatch, route):
     assert len(calls) >= 7
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
+def test_monte_carlo_slices_move_no_bits(monkeypatch, route):
+    # Each route's draw takes 5 doubles (uniforms plus the vector), so these
+    # slice budgets give 1-row and 7-row slices. The projection and the sums
+    # keep the block shape, so slicing changes no bit, with one block and
+    # with ten 200-row blocks (each ending in a 4-row slice at 7 rows).
+    calls = _record_sample_counts(monkeypatch)
+    for chunk in (noise._CHUNK_DOUBLES, 1000):
+        monkeypatch.setattr(noise, "_CHUNK_DOUBLES", chunk)
+        monkeypatch.setattr(noise, "_SLICE_DOUBLES", 1 << 16)
+        whole = _mc_route(route)
+        for slice_doubles, rows in ((5, 1), (35, 7)):
+            monkeypatch.setattr(noise, "_SLICE_DOUBLES", slice_doubles)
+            calls.clear()
+            sliced = _mc_route(route)
+            assert max(n for _, n in calls) == rows and sum(n for _, n in calls) == 2000
+            for got, want in zip(sliced, whole):
+                np.testing.assert_array_equal(got, want)
+
+
+def test_monte_carlo_block_memory_is_bounded():
+    # At d = 1000 the reused buffer of mapped draws holds half a block's
+    # budget (16 MB) and everything else is slice-sized, so the peak stays
+    # under one block's budget; whole-block temporaries took 84 MB.
+    d = 1000
+    v = np.zeros(d)
+    v[0] = 10.0
+    model = perturb(Empirical(np.zeros((1, d))), 10.0)
+    expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=10)  # warm
+    tracemalloc.start()
+    try:
+        expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * noise._CHUNK_DOUBLES
+
+
+def test_monte_carlo_std_error_of_huge_scores(monkeypatch):
+    # the squares of these scores overflow a double
+    report = perturbation_gap(
+        [1e200, 0.0], Empirical([[0.1, 0.0]]), 1.0, 1.0,
+        stream=SeededStream(0, 0), mc_samples=1000,
+    )
+    assert report.estimate == pytest.approx(1e200, rel=1e-15)
+    assert 0.0 <= report.std_error < np.inf
+    # Squares are summed scaled by a power of two, which is exact: scaling
+    # every value by 2^600 scales the mean and the std error by exactly that.
+    model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
+    plain = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: x)
+    huge = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: np.ldexp(x, 600))
+    for got, want in zip(huge, plain):
+        np.testing.assert_array_equal(got, np.ldexp(want, 600))
+    # Eight-draw blocks: the first three hold only values near 1, so the
+    # running sum of squares is rescaled when the first 2^600 arrives.
+    mix = SphericalMixture([0.9, 0.1], [[1.0], [2.0**600]], [1.0, 2.0**598])
+    monkeypatch.setattr(noise, "_CHUNK_DOUBLES", 8 * (mix.rows_per_draw + mix.dim))
+    draws = mix.sample(SeededStream(16, 0), 4000)[:, 0]
+    assert np.abs(draws[:24]).max() < 100.0 and np.abs(draws).max() > 2.0**599
+    mean, se = noise._mc_moments(mix, SeededStream(16, 0), 4000, lambda x: x)
+    shrunk = np.ldexp(draws, -600)
+    assert np.ldexp(mean[0], -600) == pytest.approx(shrunk.mean(), rel=1e-12)
+    want = shrunk.std(ddof=1) / math.sqrt(draws.shape[0])
+    assert np.ldexp(se[0], -600) == pytest.approx(want, rel=1e-12)
 
 
 def test_expected_inner_monotone_in_gradient_norm():

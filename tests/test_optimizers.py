@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from clipbias import noise as noise_mod
 from clipbias.optimizers import (
     OptimizerConfig,
     clipped_sgd,
@@ -171,6 +172,25 @@ def test_final_iterates_matches_single_runs():
     for row, seed in zip(batch, [4, 9, 21]):
         single = dp_sgd_perturbed(p, replace(cfg, seed=seed))
         assert np.array_equal(row, single.iterates[-1])
+
+
+@pytest.mark.parametrize("problem, x0", [
+    (make_example1(), [0.2]),
+    (make_synthetic_mixture(seed=4, n=30, dim=3), [2.0, -1.0, 0.5]),
+])
+@pytest.mark.parametrize("noise", [dict(k=3.0), dict(sigma=0.5), dict(batch=2, sigma=0.5, k=3.0)])
+def test_final_iterates_match_single_runs_across_noise_blocks(monkeypatch, problem, x0, noise):
+    # Single runs draw their noise in whole-run blocks. The ensemble draws
+    # it in blocks of 7 steps here: each block's buffers are refilled, one
+    # seed at a time, then scaled by k and sigma in place.
+    cfg = _cfg(steps=120, x0=x0, **noise)
+    seeds = [4, 9, 21]
+    singles = [dp_sgd_perturbed(problem, replace(cfg, seed=s)).iterates[-1] for s in seeds]
+    m = cfg.batch or problem.n
+    monkeypatch.setattr(noise_mod, "_CHUNK_DOUBLES", 7 * len(seeds) * m * problem.dim)
+    batch = final_iterates(problem, cfg, seeds)
+    for row, single in zip(batch, singles):
+        assert np.array_equal(row, single)
 
 
 @pytest.mark.parametrize("problem, x0", [

@@ -49,6 +49,8 @@ def test_inner_and_cosine():
     assert vectors.cosine([1.0, 0.0], [-3.0, 0.0]) == -1.0
     # the product of two huge norms overflows; the unit vectors do not
     assert vectors.cosine([1e200, 0.0], [1e200, 0.0]) == 1.0
+    # and the squares of a tiny vector underflow; its norm does not
+    assert vectors.cosine([1.0, 0.0], [1e-200, 0.0]) == 1.0
     with pytest.raises(ValueError):
         vectors.cosine([0.0, 0.0], [1.0, 0.0])
 
@@ -78,6 +80,28 @@ def test_huge_rows_keep_their_direction():
     assert np.array_equal(vectors.clip_batch(out, 1.0), out)
     np.testing.assert_allclose(out[0], [0.6, -0.8], rtol=1e-15, atol=0.0)
     assert np.isinf(vectors.row_norms(np.array([[np.inf, 1e200]]))[0])
+
+
+def test_tiny_rows_keep_their_norm():
+    # squaring these components underflows; their norms do not
+    assert vectors.norm([1e-200, 0.0]) == 1e-200
+    assert vectors.norm([3e-170, 4e-170]) == pytest.approx(5e-170, rel=2.0**-52)
+    scaled = vectors.norm([3e-170 * 2.0**600, 4e-170 * 2.0**600])
+    assert vectors.norm([3e-170, 4e-170]) == 2.0**-600 * scaled
+    # zero rows stay zero, subnormal rows get their norm, other rows keep
+    # their bits
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(6, 4))
+    want = vectors.row_norms(rows)
+    rows[1] = 0.0
+    rows[4] = [3e-320, 0.0, -4e-320, 0.0]
+    norms = vectors.row_norms(rows)
+    assert norms[1] == 0.0 and norms[4] == 5e-320
+    keep = [0, 2, 3, 5]
+    assert np.array_equal(norms[keep], want[keep])
+    # so the clip sees them: this row is rescaled, not passed through
+    out = vectors.clip_batch(rows[[4]], 2e-320)
+    assert 0.0 < vectors.row_norms(out)[0] <= 2e-320
 
 
 def test_rows_beyond_the_double_range_keep_their_direction():
