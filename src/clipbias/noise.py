@@ -9,11 +9,17 @@ function of ``(master_seed, stream_id, i)``: prefixes of a sample
 batch match shorter batches bit for bit, so results do not depend on
 how work is chunked across workers.
 
+The Monte Carlo routes draw their uniforms in order on the calling
+thread, a chunk at a time, while a process-wide pool of threads, one
+per core the process may run on, turns the chunks already drawn into
+normals; the inverse normal CDF is elementwise, so this changes no bit.
+
 Norm probabilities ``P(||xi|| < r)`` are exact for every shipped model
 (finite weight sums, chi-square, or noncentral chi-square), with an
 optional Monte Carlo route kept for cross-checking.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +55,20 @@ _CHUNK_DOUBLES = 1 << 22
 # than from memory.
 _SLICE_DOUBLES = 1 << 16
 
-# Monte Carlo squares are summed scaled by a power of two once a block
-# holds a value this large, so that they stay finite.
+# Doubles (1 MB) of uniforms in one Monte Carlo fill chunk: whole slices
+# of one block, drawn by the calling thread and turned into normals by a
+# pool worker.
+_FILL_DOUBLES = 1 << 17
+
+# Fill chunks in flight at once, each in its own ring buffer. The ring
+# never holds more than one block's uniforms.
+_RING = 8
+
+# Monte Carlo sums are taken scaled by a power of two once a block holds
+# a value this large, so that the values and their squares stay finite.
 _SQUARE_LIMIT = 2.0 ** 500
+
+_POOL = None  # the fill pool, made on first use by _pool()
 
 
 @dataclass(frozen=True)
@@ -77,10 +94,46 @@ def normals_from_uniforms(u):
     Works in place: ``u`` (a float64 array) is overwritten by the normals
     and returned, so pass a fresh array of draws, never one still needed.
     """
+    _to_normals(u)
+    return u
+
+
+def _to_normals(u):
+    """``normals_from_uniforms`` without its return, for the fill pool.
+
+    Pool threads run only this, never a public function: the benchmark's
+    span tracer keeps one stack for all threads.
+    """
     from scipy import special
 
     np.maximum(u, _U_FLOOR, out=u)
-    return special.ndtri(u, out=u)
+    special.ndtri(u, out=u)
+
+
+def _pool():
+    """The process-wide pool of fill threads, one per core this process
+    may run on; made on first use."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+        _POOL = ThreadPoolExecutor(workers, thread_name_prefix="clipbias-fill")
+    return _POOL
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads, so it makes its own
+    pool; the parent's would take work and never run it."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _resolve_generator(stream):
@@ -92,10 +145,15 @@ def _resolve_generator(stream):
 
 
 class _Model:
-    """Shared sampling plumbing: fixed uniform row width per draw."""
+    """Shared sampling plumbing: fixed uniform row width per draw.
+
+    The last ``normal_columns`` uniforms of a draw's row become standard
+    normals, which ``_from_rows`` maps to the draw.
+    """
 
     dim: int
     rows_per_draw: int
+    normal_columns: int
 
     def sample(self, stream, count):
         """Draw ``count`` vectors, shape ``(count, dim)``.
@@ -110,9 +168,13 @@ class _Model:
             raise ValueError("count must be >= 0")
         gen = _resolve_generator(stream)
         u = gen.random((count, self.rows_per_draw))
-        return self._from_uniform_rows(u)
+        if self.normal_columns:
+            normals_from_uniforms(u[:, self.rows_per_draw - self.normal_columns:])
+        return self._from_rows(u)
 
-    def _from_uniform_rows(self, u):
+    def _from_rows(self, u):
+        """Draws from rows of uniforms whose normal columns hold normals;
+        ``u`` may be overwritten."""
         raise NotImplementedError
 
 
@@ -151,11 +213,10 @@ class Empirical(_Model):
     def dim(self):
         return self.atoms.shape[1]
 
-    @property
-    def rows_per_draw(self):
-        return 1
+    rows_per_draw = 1
+    normal_columns = 0
 
-    def _from_uniform_rows(self, u):
+    def _from_rows(self, u):
         idx = np.searchsorted(self._cum, u[:, 0], side="right")
         idx = np.minimum(idx, len(self.weights) - 1)
         return self.atoms[idx]
@@ -202,10 +263,13 @@ class IsotropicGaussian(_Model):
     def rows_per_draw(self):
         return self.dim
 
-    def _from_uniform_rows(self, u):
-        z = normals_from_uniforms(u)
-        z *= self.scale
-        return z
+    @property
+    def normal_columns(self):
+        return self.dim
+
+    def _from_rows(self, u):
+        u *= self.scale
+        return u
 
     def mean(self):
         return np.zeros(self.dim)
@@ -243,10 +307,14 @@ class SphericalMixture(_Model):
     def rows_per_draw(self):
         return 1 + self.dim
 
-    def _from_uniform_rows(self, u):
+    @property
+    def normal_columns(self):
+        return self.dim
+
+    def _from_rows(self, u):
         idx = np.searchsorted(self._cum, u[:, 0], side="right")
         idx = np.minimum(idx, len(self.weights) - 1)
-        z = normals_from_uniforms(u[:, 1:])
+        z = u[:, 1:]
         z *= self.scales[idx][:, None]
         z += self.centers[idx]
         return z
@@ -278,11 +346,15 @@ class Perturbed(_Model):
     def rows_per_draw(self):
         return self.base.rows_per_draw + self.dim
 
-    def _from_uniform_rows(self, u):
+    @property
+    def normal_columns(self):
+        return self.base.normal_columns + self.dim
+
+    def _from_rows(self, u):
         split = self.base.rows_per_draw
-        z = normals_from_uniforms(u[:, split:])
+        z = u[:, split:]
         z *= self.k
-        z += self.base._from_uniform_rows(u[:, :split])
+        z += self.base._from_rows(u[:, :split])
         return z
 
     def mean(self):
@@ -362,15 +434,20 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     vector's dot product with ``project``. The result is ``(mean,
     std_error)`` of the statistic's shape.
 
-    Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws. Each block
-    is drawn and mapped in row slices of at most ``_SLICE_DOUBLES``, so
-    the elementwise work runs in cache, and the slices fill one block
-    buffer that is reused for every block. Every slice continues one
-    generator, so the draws equal one batch of ``mc_samples`` whatever
-    the block or slice size. The projection and the sums run once per
-    block on that buffer: a matrix-vector product's rows change in the
-    last bit with the row count, so the bits depend on the block size
-    alone.
+    Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws, and the
+    sums run once per block, so the bits depend on the block size alone.
+    Each block is cut into fill chunks of whole row slices (``_chunks``).
+    This thread draws each chunk in order from the one generator into its
+    own ring buffer, up to ``_RING`` chunks ahead, and a pool worker turns
+    the chunk's normal columns into normals in place. Meanwhile this
+    thread maps each transformed chunk in slices of at most
+    ``_SLICE_DOUBLES`` (``_map_rows``), so the elementwise work runs in
+    cache, into one block buffer of statistics, and then draws the next
+    chunk into the freed buffer. The projection is a row-local ``einsum``
+    per slice: a BLAS matrix-vector product's rows change in the last bit
+    with the row count, and its threads spin between calls. The draws
+    equal one serial batch of ``mc_samples``, and a Generator passed in
+    is continued as that batch would continue it.
     """
     if not mc_samples:
         raise ValueError(
@@ -382,33 +459,67 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     count = int(mc_samples)
     if count < 0:
         raise ValueError(f"mc_samples must be >= 0, got {count}")
-    width = model.rows_per_draw + model.dim
+    from collections import deque
+    from concurrent.futures import wait
+
+    draw = model.rows_per_draw
+    normal_from = draw - model.normal_columns
+    width = draw + model.dim
     block = min(count, max(1, _CHUNK_DOUBLES // width))
     rows = min(block, max(1, _SLICE_DOUBLES // width))
+    chunk = min(block, rows * max(1, _FILL_DOUBLES // (rows * draw)))
+    ring = [np.empty((chunk, draw)) for _ in range(max(1, min(_RING, block // chunk)))]
+    plan = _chunks(count, block, chunk)
+    pool = _pool()
+    pending = deque()  # a chunk's plan entry, its ring buffer, its transform
+
+    def fill(buffer):
+        """Draw the next planned chunk into ``buffer``; queue its transform."""
+        step = next(plan, None)
+        if step is not None:
+            u = buffer[:step[1]]
+            gen.random(out=u)
+            pending.append((*step, buffer, pool.submit(_to_normals, u[:, normal_from:])))
+
     mapped = None
     # -0.0 is the exact additive identity, so a single block sums as itself
     total = total_sq = -0.0
-    power = 0  # the squares are summed scaled by 2 ** (-2 * power)
-    for done in range(0, count, block):
-        n = min(block, count - done)
-        for lo in range(0, n, rows):
-            part = row_map(model.sample(gen, min(rows, n - lo)))
-            if mapped is None:
-                mapped = np.empty((block,) + part.shape[1:])
-            mapped[lo:lo + part.shape[0]] = part
-        values = mapped[:n] if project is None else mapped[:n] @ project
-        total = total + values.sum(axis=0)
-        top = np.ldexp(max(values.max(), -values.min()), -power)
-        if top >= _SQUARE_LIMIT:
-            # powers of two scale exactly, so the running sum keeps its bits
-            grow = int(np.frexp(top)[1])
-            total_sq = np.ldexp(total_sq, -2 * grow)
-            power += grow
-        if power:
-            values = np.ldexp(values, -power)
-        total_sq = total_sq + (values * values).sum(axis=0)
-    mean = total / count
-    scaled = np.ldexp(mean, -power)
+    power = 0  # both sums are scaled by 2 ** -power, the squares by its square
+    try:
+        for buffer in ring:
+            fill(buffer)
+        while pending:
+            lo, n, ends_block, buffer, future = pending.popleft()
+            future.result()
+            u = buffer[:n]
+            for at in range(0, n, rows):
+                part = _map_rows(model, u[at:at + rows], row_map, project)
+                if mapped is None:
+                    mapped = np.empty((block,) + part.shape[1:])
+                mapped[lo + at:lo + at + part.shape[0]] = part
+            fill(buffer)
+            if not ends_block:
+                continue
+            values = mapped[:lo + n]
+            top = np.ldexp(max(values.max(), -values.min()), -power)
+            if top >= _SQUARE_LIMIT:
+                # powers of two scale exactly, so the running sums keep their bits
+                grow = int(np.frexp(top)[1])
+                total = np.ldexp(total, -grow)
+                total_sq = np.ldexp(total_sq, -2 * grow)
+                power += grow
+            # squared in place: a block of clipped vectors is half the budget
+            if power:
+                np.ldexp(values, -power, out=values)
+            total = total + values.sum(axis=0)
+            total_sq = total_sq + np.multiply(values, values, out=values).sum(axis=0)
+    finally:
+        futures = [future for *_, future in pending]
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    scaled = total / count
+    mean = np.ldexp(scaled, power)
     var = np.maximum(total_sq / count - scaled * scaled, 0.0)
     if count > 1:
         var = var * (count / (count - 1))
@@ -416,6 +527,24 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     if np.ndim(mean) == 0:
         return float(mean), float(se)
     return mean, se
+
+
+def _chunks(count, block, chunk):
+    """The Monte Carlo fill plan, made lazily so that it takes no memory:
+    ``(first row in its block, rows, whether it ends its block)`` of each
+    chunk of ``count`` draws cut into blocks of ``block`` draws."""
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        for lo in range(0, size, chunk):
+            yield lo, min(chunk, size - lo), lo + chunk >= size
+
+
+def _map_rows(model, u, row_map, project):
+    """The statistic of the draws in one slice of filled rows ``u``."""
+    part = row_map(model._from_rows(u))
+    if project is not None:
+        part = np.einsum("ij,j->i", part, project)
+    return part
 
 
 def _prob_norm_exact(model, radius):

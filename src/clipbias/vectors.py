@@ -39,10 +39,13 @@ def row_norms(rows):
     rows = np.asarray(rows, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     # A norm above ~1.3e154 overflows in the squares, and one below 2^-511
-    # loses bits to their underflow. This dot product is finite unless some
-    # norm is that large, inf or NaN, and costs less per call than an isinf
-    # scan; the minimum finds the small ones.
-    if not (norms.dot(norms) < np.inf and norms.min(initial=np.inf) >= _NORM_FLOOR):
+    # loses bits to their underflow. The maximum finds the inf and NaN
+    # norms and the minimum the small ones; a dot product of the norms
+    # would warn where their squares sum past the largest double.
+    if not (
+        np.maximum.reduce(norms, initial=0.0) < np.inf
+        and np.minimum.reduce(norms, initial=np.inf) >= _NORM_FLOOR
+    ):
         # Redo the finite nonzero rows whose norm is inf or small scaled by
         # a power of two, which is exact: such a row's norm is its scaled
         # copy's norm times that power.

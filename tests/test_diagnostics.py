@@ -1,5 +1,9 @@
+import itertools
 import math
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -143,30 +147,52 @@ def test_expected_inner_monte_carlo_route_agrees():
 
 
 def _record_sample_counts(monkeypatch):
-    """Patch noise._Model.sample to log (model, count) of every call."""
+    """Patch noise._map_rows, which maps one slice of Monte Carlo draws, to
+    log (model, draws) of every call."""
     calls = []
-    sample = noise._Model.sample
+    map_rows = noise._map_rows
 
-    def logged(self, stream, count):
-        calls.append((self, int(count)))
-        return sample(self, stream, count)
+    def logged(model, u, row_map, project):
+        calls.append((model, u.shape[0]))
+        return map_rows(model, u, row_map, project)
 
-    monkeypatch.setattr(noise._Model, "sample", logged)
+    monkeypatch.setattr(noise, "_map_rows", logged)
+    return calls
+
+
+def _record_blocks(monkeypatch):
+    """Patch noise._chunks, the fill plan of noise._mc_moments, to log the
+    draws its chunks add up to in each block: one list per call."""
+    calls = []
+    chunks = noise._chunks
+
+    def logged(count, block, chunk):
+        blocks = []
+        calls.append(blocks)
+        filled = 0
+        for lo, n, ends_block in chunks(count, block, chunk):
+            filled += n
+            if ends_block:
+                blocks.append(filled)
+                filled = 0
+            yield lo, n, ends_block
+
+    monkeypatch.setattr(noise, "_chunks", logged)
     return calls
 
 
 def test_monte_carlo_blocks_fit_the_memory_budget(monkeypatch):
     # One block's uniforms plus draws stay within _CHUNK_DOUBLES, however
     # wide a draw is; 10 000 samples at d = 500 need three blocks.
-    calls = _record_sample_counts(monkeypatch)
+    calls = _record_blocks(monkeypatch)
     v = np.zeros(500)
     v[0] = 10.0
     point = perturb(Empirical(np.zeros((1, 500))), 10.0)
     expected_clipped_inner(v, point, 1.0, stream=SeededStream(0, 0), mc_samples=10_000)
     gauss = IsotropicGaussian(1.0, 500)
     prob_norm_below(gauss, 22.0, stream=SeededStream(0, 1), mc_samples=10_000)
-    for model in (point, gauss):
-        counts = [n for m, n in calls if m is model]
+    assert len(calls) == 2
+    for model, counts in zip((point, gauss), calls):
         assert len(counts) >= 3 and sum(counts) == 10_000
         for n in counts:
             assert n * (model.rows_per_draw + model.dim) <= noise._CHUNK_DOUBLES
@@ -190,10 +216,10 @@ def _mc_route(route):
 @pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
 def test_monte_carlo_estimates_do_not_depend_on_blocking(monkeypatch, route):
     whole = _mc_route(route)
-    calls = _record_sample_counts(monkeypatch)
+    calls = _record_blocks(monkeypatch)
     monkeypatch.setattr(noise, "_CHUNK_DOUBLES", 1000)  # ten blocks of 200 draws
     blocked = _mc_route(route)
-    assert len(calls) >= 7
+    assert len([n for blocks in calls for n in blocks]) >= 7
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -201,9 +227,9 @@ def test_monte_carlo_estimates_do_not_depend_on_blocking(monkeypatch, route):
 @pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
 def test_monte_carlo_slices_move_no_bits(monkeypatch, route):
     # Each route's draw takes 5 doubles (uniforms plus the vector), so these
-    # slice budgets give 1-row and 7-row slices. The projection and the sums
-    # keep the block shape, so slicing changes no bit, with one block and
-    # with ten 200-row blocks (each ending in a 4-row slice at 7 rows).
+    # slice budgets give 1-row and 7-row slices. The projection is row-local
+    # and the sums keep the block shape, so slicing changes no bit, with one
+    # block and with ten 200-row blocks (each ending in a 4-row slice at 7).
     calls = _record_sample_counts(monkeypatch)
     for chunk in (noise._CHUNK_DOUBLES, 1000):
         monkeypatch.setattr(noise, "_CHUNK_DOUBLES", chunk)
@@ -218,22 +244,116 @@ def test_monte_carlo_slices_move_no_bits(monkeypatch, route):
                 np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
+def test_monte_carlo_fill_moves_no_bits(monkeypatch, route):
+    # Each draw takes 3 uniforms, so with 7-row slices these fill budgets
+    # give chunks of 1, 2 and 10 slices (the last chunk of a 200-row block
+    # is cut short). Whatever the chunks, the ring depth or the number of
+    # workers, every chunk holds its own draws and the block sums see the
+    # same values, so no bit moves. Three workers, more than the cores, and
+    # a short switch interval stress the reuse of ring buffers.
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
+    pools = [ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for chunk in (noise._CHUNK_DOUBLES, 1000):
+            monkeypatch.setattr(noise, "_CHUNK_DOUBLES", chunk)
+            monkeypatch.setattr(noise, "_FILL_DOUBLES", 1 << 17)
+            monkeypatch.setattr(noise, "_RING", 8)
+            whole = _mc_route(route)
+            for pool in pools:
+                monkeypatch.setattr(noise, "_POOL", pool)
+                for fill, ring in ((21, 1), (21, 8), (42, 3), (210, 8)):
+                    monkeypatch.setattr(noise, "_FILL_DOUBLES", fill)
+                    monkeypatch.setattr(noise, "_RING", ring)
+                    for got, want in zip(_mc_route(route), whole):
+                        np.testing.assert_array_equal(got, want)
+    finally:
+        sys.setswitchinterval(switch)
+        for pool in pools:
+            pool.shutdown()
+
+
+@pytest.mark.parametrize("generator", [lambda: SeededStream(6, 0).generator(),
+                                       lambda: np.random.default_rng(6)],
+                         ids=["philox", "pcg64"])
+def test_monte_carlo_continues_a_generator(monkeypatch, generator):
+    # A Generator, Philox-backed or not, with a part-used buffer is
+    # continued exactly: the estimate is the mean over its next serial
+    # draws, and it is left where drawing them serially leaves it.
+    v = np.array([0.4, -0.1])
+    model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 50)  # ten-draw slices,
+    monkeypatch.setattr(noise, "_FILL_DOUBLES", 30)  # one per fill chunk
+    gen, serial = generator(), generator()
+    gen.integers(2**32, dtype=np.uint32)  # leaves half a 64-bit output
+    serial.integers(2**32, dtype=np.uint32)
+    gen.random(3)
+    serial.random(3)
+    mean, _ = expected_clipped_gradient(v, model, 1.0, stream=gen, mc_samples=2000)
+    values = diagnostics.clip_batch(v + model.sample(serial, 2000), 1.0)
+    np.testing.assert_array_equal(mean, (-0.0 + values.sum(axis=0)) / 2000)
+    assert np.array_equal(gen.random(9), serial.random(9))
+    assert gen.integers(2**32, dtype=np.uint32) == serial.integers(2**32, dtype=np.uint32)
+
+
+def test_monte_carlo_errors_surface_and_leave_the_pool_clean(monkeypatch):
+    # A worker's error reaches the caller with its own message, and so does
+    # one raised while mapping; chunks still queued are dropped, and the
+    # next call gives the same bits as before.
+    whole = _mc_route("inner")
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
+    monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)  # 286 seven-row chunks
+    to_normals = noise._to_normals
+    transforms = itertools.count(1)  # next() on it is atomic across threads
+
+    def failing(u):
+        if next(transforms) == 6:
+            raise RuntimeError("the sixth chunk failed")
+        to_normals(u)
+
+    monkeypatch.setattr(noise, "_to_normals", failing)
+    with pytest.raises(RuntimeError, match="the sixth chunk failed"):
+        _mc_route("inner")
+    monkeypatch.setattr(noise, "_to_normals", to_normals)
+    map_rows = noise._map_rows
+    seen = []
+
+    def bad_map(model, u, row_map, project):
+        seen.append(u.shape[0])
+        if len(seen) == 4:
+            raise ValueError("the fourth slice is bad")
+        return map_rows(model, u, row_map, project)
+
+    monkeypatch.setattr(noise, "_map_rows", bad_map)
+    with pytest.raises(ValueError, match="the fourth slice is bad"):
+        _mc_route("inner")
+    monkeypatch.setattr(noise, "_map_rows", map_rows)
+    for got, want in zip(_mc_route("inner"), whole):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_monte_carlo_block_memory_is_bounded():
-    # At d = 1000 the reused buffer of mapped draws holds half a block's
-    # budget (16 MB) and everything else is slice-sized, so the peak stays
-    # under one block's budget; whole-block temporaries took 84 MB.
+    # At d = 1000 the ring of fill chunks holds a quarter of a block's
+    # budget (8 MB) and everything else but the block buffer of mapped
+    # draws is slice-sized: one score per draw for the inner route, half a
+    # block's budget (16 MB) of clipped vectors for the gradient. So the
+    # peak stays under one block's budget; whole-block temporaries took
+    # 84 MB, and 5 000 unblocked clipped vectors alone take 40 MB.
     d = 1000
     v = np.zeros(d)
     v[0] = 10.0
     model = perturb(Empirical(np.zeros((1, d))), 10.0)
-    expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=10)  # warm
-    tracemalloc.start()
-    try:
-        expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=5000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * noise._CHUNK_DOUBLES
+    for route in (expected_clipped_inner, expected_clipped_gradient):
+        route(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=10)  # warm
+        tracemalloc.start()
+        try:
+            route(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * noise._CHUNK_DOUBLES, route.__name__
 
 
 def test_monte_carlo_std_error_of_huge_scores(monkeypatch):
@@ -251,6 +371,18 @@ def test_monte_carlo_std_error_of_huge_scores(monkeypatch):
     huge = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: np.ldexp(x, 600))
     for got, want in zip(huge, plain):
         np.testing.assert_array_equal(got, np.ldexp(want, 600))
+    # the values themselves are summed under the same scale
+    huge = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: np.ldexp(x, 1000))
+    for got, want in zip(huge, plain):
+        np.testing.assert_array_equal(got, np.ldexp(want, 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = perturbation_gap(
+            [1e307, 0.0], Empirical([[0.1, 0.0]]), 1.0, 1.0,
+            stream=SeededStream(0, 0), mc_samples=1000,
+        )
+    assert report.estimate == pytest.approx(1e307, rel=1e-15)
+    assert 0.0 <= report.std_error < np.inf
     # Eight-draw blocks: the first three hold only values near 1, so the
     # running sum of squares is rescaled when the first 2^600 arrives.
     mix = SphericalMixture([0.9, 0.1], [[1.0], [2.0**600]], [1.0, 2.0**598])

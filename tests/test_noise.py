@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -231,3 +234,31 @@ def test_json_round_trip():
     assert np.array_equal(back.weights, model.weights)
     with pytest.raises((ValueError, KeyError)):
         Empirical.from_json_dict({"dim": 2, "atoms": [[1.0]]})
+
+
+def _norm_estimate(queue):
+    model = IsotropicGaussian(1.0, 3)
+    queue.put(prob_norm_below(model, 1.5, stream=SeededStream(1, 0), mc_samples=100_000))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_monte_carlo_runs_in_a_forked_child():
+    # The parent's pool threads do not exist in a forked child, which must
+    # make its own pool rather than queue work that never runs.
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    _norm_estimate(queue)
+    want = queue.get(timeout=30)
+    child = ctx.Process(target=_norm_estimate, args=(queue,))
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock
+        warnings.filterwarnings("ignore", ".*multi-threaded.*fork", DeprecationWarning)
+        child.start()
+    try:
+        got = queue.get(timeout=30)
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive()
+    assert got == want

@@ -82,6 +82,25 @@ def test_huge_rows_keep_their_direction():
     assert np.isinf(vectors.row_norms(np.array([[np.inf, 1e200]]))[0])
 
 
+def test_finite_norms_whose_squares_sum_past_the_doubles_do_not_warn():
+    # Each of these norms is finite, up to about 2^513, but their squares
+    # sum past the largest double on many seeds; the overflow check must not
+    # warn, and scaling a row by 2^511 scales its norm by exactly that, in a
+    # batch or alone.
+    overflowing = 0
+    for seed in range(200):
+        rows = np.random.default_rng(seed).normal(size=(3, 3))
+        want = np.ldexp(vectors.row_norms(rows), 511)
+        overflowing += np.sum(np.ldexp(want, -512) ** 2) >= 1.0  # sum of squares >= 2^1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vectors.row_norms(rows * 2.0**511)
+            ones = [vectors.row_norms(row[None, :] * 2.0**511)[0] for row in rows]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(ones, want)
+    assert overflowing >= 50
+
+
 def test_tiny_rows_keep_their_norm():
     # squaring these components underflows; their norms do not
     assert vectors.norm([1e-200, 0.0]) == 1e-200
