@@ -106,7 +106,7 @@ def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     v = as_vector(v)
     if isinstance(model, Empirical) and not mc_samples:
         scores = clip_scores(v, model.atoms, c)
-        return float(np.dot(model.weights, scores)), 0.0
+        return float(_weighted_sum(scores, model.weights)), 0.0
     return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c), v)
 
 
@@ -206,7 +206,7 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         estimate=est,
         std_error=se,
         lower_bound=lower,
-        prob_term=float(np.dot(mix.weights, prob_terms)),
+        prob_term=float(_weighted_sum(prob_terms, mix.weights)),
         z=z,
     )
     _check_dominates(report)
@@ -227,7 +227,7 @@ def clipping_bias(v, p, q, c):
         np.concatenate([p.atoms, q.atoms]), np.concatenate([p.weights, -q.weights])
     )
     scores = clip_scores(v, atoms, c)
-    return float(np.dot(weights, scores))
+    return float(_weighted_sum(scores, weights))
 
 
 def wasserstein_clip(v, c, p, q):
@@ -341,7 +341,7 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     if isinstance(model, Empirical) and dim == 1 and not mc_samples:
         vs = float(v[0])
         means = censored_normal_clip_mean(vs + model.atoms[:, 0], k, c)
-        est = vs * float(np.dot(model.weights, means))
+        est = vs * float(_weighted_sum(means, model.weights))
         return GapReport(estimate=est, std_error=0.0, lower_bound=lower)
     est, se = expected_clipped_inner(
         v, noise_mod.perturb(model, k), c, stream=stream, mc_samples=mc_samples
@@ -487,12 +487,16 @@ def _reflected_scores(V, emp, c, transport):
     ||v + xi||^2 = ||v||^2 + 2<v, xi> + ||xi||^2, so one GEMM per block
     of rows covers all (step, atom) pairs, for xi = a and xi = -a alike.
 
-    Two budgets bound the memory. A block of rows holds
-    ``_CHUNK_DOUBLES`` pairs, and the product and the two score blocks
-    each take one block. The elementwise passes run on row slices of
-    ``_SLICE_DOUBLES`` pairs, through one slice-sized scratch buffer, so
-    they stay in cache. The weighted sums stay whole-block GEMVs: their
-    rounding depends on the row count, so slicing them would move bits.
+    Two budgets bound the memory. The product block holds
+    ``_CHUNK_DOUBLES`` pairs and is reused from block to block. Everything
+    else runs on row slices of ``_SLICE_DOUBLES`` pairs, through three
+    slice-sized buffers: each slice is scored for both signs, and its
+    transport distances and weighted sums are taken while it is still in
+    cache. The sums go through :func:`_weighted_sum`, not a BLAS GEMV: a
+    GEMV's rounding follows the row count and the BLAS thread count, so
+    its bits would change with the slicing and with the machine. A row's
+    sum and its transport distance read that row alone, so every column
+    is the same bit for bit whatever the two budgets.
     The transport column is NaN unless ``transport``.
     """
     atoms = emp.atoms
@@ -506,32 +510,45 @@ def _reflected_scores(V, emp, c, transport):
     w_gap = np.full(T, np.nan)
     block = min(T, max(1, noise_mod._CHUNK_DOUBLES // N))
     rows = min(block, max(1, noise_mod._SLICE_DOUBLES // N))
-    plus, minus = np.empty((block, N)), np.empty((block, N))
-    work = np.empty((rows, N))
+    product = np.empty((block, N))
+    work, plus, minus = (np.empty((rows, N)) for _ in range(3))
     with np.errstate(divide="ignore"):
         for lo in range(0, T, block):
             hi = min(T, lo + block)
-            A = V[lo:hi] @ atoms.T
-            for s in range(0, hi - lo, rows):
-                e = min(hi - lo, s + rows)
-                _score_block(v2[lo + s:lo + e], A[s:e], a2, c, 1.0, work, plus[s:e])
-                _score_block(v2[lo + s:lo + e], A[s:e], a2, c, -1.0, work, minus[s:e])
-            s_plus, s_minus = plus[: hi - lo], minus[: hi - lo]
-            e_plus[lo:hi] = s_plus @ weights
-            e_minus[lo:hi] = s_minus @ weights
-            if transport:
-                w_gap[lo:hi] = _transport_rows(s_plus, weights, s_minus, weights)
+            A = np.matmul(V[lo:hi], atoms.T, out=product[: hi - lo])
+            for s in range(lo, hi, rows):
+                e = min(hi, s + rows)
+                s_plus, s_minus, scratch = plus[: e - s], minus[: e - s], work[: e - s]
+                _score_block(v2[s:e], A[s - lo:e - lo], a2, c, 1.0, scratch, s_plus)
+                _score_block(v2[s:e], A[s - lo:e - lo], a2, c, -1.0, scratch, s_minus)
+                if transport:
+                    w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
+                e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
+                e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
     return e_plus, e_minus, w_gap
 
 
-def _score_block(v2, A, a2, c, sign, work, out):
+def _weighted_sum(values, weights, scratch=None):
+    """sum_n values[..., n] * weights[n] for every row, without BLAS.
+
+    A BLAS dot or GEMV splits its sum by the thread count (a GEMV by the
+    row count too), so its bits change with the machine. Here the
+    products go through ``scratch`` (``values``' shape; a new array when
+    None) and numpy sums each row pairwise along its contiguous last
+    axis, so a row's bits depend on that row's values alone. The
+    einsum ``"tn,n->t"`` is not row-local: above 8192 atoms its bits for a
+    row change with the number of rows it is summed with.
+    """
+    return np.multiply(values, weights, out=scratch).sum(axis=-1)
+
+
+def _score_block(v2, A, a2, c, sign, n2, out):
     """Scores s(sign * a) of a slice of rows into ``out``, in place.
 
     ``A`` holds <v, a> for every (row, atom) pair and ``v2``, ``a2`` the
-    squared norms; ``work`` is a buffer at least as tall as ``A`` and
-    ``out`` has its shape. A pair with v + xi = 0 scores 0.
+    squared norms; ``n2`` (scratch) and ``out`` are buffers of ``A``'s
+    shape. A pair with v + xi = 0 scores 0.
     """
-    n2 = work[: A.shape[0]]
     np.multiply(A, 2.0 * sign, out=n2)
     np.add(v2, n2, out=n2)
     np.add(n2, a2, out=n2)

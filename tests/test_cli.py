@@ -10,6 +10,7 @@ import pytest
 
 import clipbias
 from clipbias.cli import main
+from clipbias.problems import make_synthetic_mixture
 
 
 def _run(*argv):
@@ -295,15 +296,49 @@ def test_replay_is_byte_identical(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_module_entry_point(tmp_path):
+def _child_env(**extra):
     # the child runs the package this suite imports, installed or not
     package_root = os.path.dirname(os.path.dirname(clipbias.__file__))
     path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
+
+
+def test_replay_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Exact sums over the 10 000-atom mixture cloud: a threaded BLAS dot or
+    # GEMV would round them by how it splits the work.
+    problem = make_synthetic_mixture()
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "v": [float(t) for t in problem.full_gradient(np.zeros(problem.dim))],
+        "clip": 1.0,
+        "p": problem.noise_residuals().to_json_dict(),
+    }))
+    for args in [
+        ("diagnose", "--problem", "synthetic-mixture", "--steps", "150", "--wasserstein", "on"),
+        ("wasserstein", "--input", str(pair)),
+    ]:
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{args[0]}_{threads}"
+            res = subprocess.run(
+                [sys.executable, "-m", "clipbias", *args, "--out", str(out)],
+                capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert res.returncode == 0, res.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            if name in ("metadata.json", "manifest.json"):
+                continue  # carry the timestamp (directly or via checksum)
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_module_entry_point(tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "clipbias", "calibrate", "--epsilon", "1", "--delta",
          "0.1", "--n", "100", "--T", "10", "--m", "10"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert res.returncode == 0
     assert "sigma" in res.stdout

@@ -798,11 +798,56 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
         want = wasserstein_clip(v, 1.0, p_tilde, p)
         assert ledger.w_bound[t] == pytest.approx(want, abs=1e-12)
 
-    # the weighted sums keep the block shape, so slicing moves no bits
+    # a row's weighted sum reads that row alone, so slicing moves no bits
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 23)
     whole = descent_ledger(traj, wasserstein=True)
     assert np.array_equal(ledger.e_p, whole.e_p)
     assert np.array_equal(ledger.e_p_tilde, whole.e_p_tilde)
+    assert np.array_equal(ledger.w_bound, whole.w_bound)
+
+
+MIXTURE = make_synthetic_mixture()  # 10 000 atoms in 10-D
+
+
+def test_weighted_sum_of_a_row_reads_that_row_alone():
+    # Above 8192 atoms an einsum or a GEMV rounds a row by the rows summed
+    # with it; the ledger's sums must not.
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(7, 10_000))
+    weights = MIXTURE.noise_residuals().weights
+    whole = diagnostics._weighted_sum(values, weights)
+    for rows in (1, 2, 3, 7):
+        parts = [diagnostics._weighted_sum(values[lo:lo + rows], weights)
+                 for lo in range(0, 7, rows)]
+        assert np.array_equal(np.concatenate(parts), whole), rows
+    assert diagnostics._weighted_sum(values[3], weights) == whole[3]
+
+
+def test_ledger_columns_do_not_depend_on_the_block_size(monkeypatch):
+    # 10 000 atoms: one 120-row block in 6-row slices, or 25-row blocks
+    # whose last slice is a single row
+    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=120)
+    ledgers = []
+    for rows in (noise._CHUNK_DOUBLES // 10_000, 25):
+        monkeypatch.setattr(noise, "_CHUNK_DOUBLES", rows * 10_000)
+        ledgers.append(descent_ledger(traj, wasserstein=True))
+    for column in ("e_p", "e_p_tilde", "w_bound"):
+        assert np.array_equal(getattr(ledgers[0], column), getattr(ledgers[1], column)), column
+
+
+def test_ledger_memory_is_one_product_block():
+    # 1 000 steps against 10 000 atoms take three 419-row blocks. The
+    # product block is reused and everything else is slice-sized; whole
+    # score blocks for both signs held three to four blocks at once.
+    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=1000)
+    tracemalloc.start()
+    try:
+        ledger = descent_ledger(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isnan(ledger.w_bound))  # the transport column resolves to off
+    assert peak < 1.5 * 8 * noise._CHUNK_DOUBLES
 
 
 def test_ledger_neither_symmetrizes_nor_calls_the_public_transport(monkeypatch):
