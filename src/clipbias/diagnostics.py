@@ -484,19 +484,19 @@ def _reflected_scores(V, emp, c, transport):
 
     p^- is p reflected through the origin. Expands s through
     <v, clip(v + xi)> = <v, v + xi> * min(1, c/||v + xi||) with
-    ||v + xi||^2 = ||v||^2 + 2<v, xi> + ||xi||^2, so one GEMM per block
-    of rows covers all (step, atom) pairs, for xi = a and xi = -a alike.
+    ||v + xi||^2 = ||v||^2 + 2<v, xi> + ||xi||^2, so one GEMM per row slice
+    covers all of its (step, atom) pairs, for xi = a and xi = -a alike.
 
-    Two budgets bound the memory. The product block holds
-    ``_CHUNK_DOUBLES`` pairs and is reused from block to block. Everything
-    else runs on row slices of ``_SLICE_DOUBLES`` pairs, through three
-    slice-sized buffers: each slice is scored for both signs, and its
-    transport distances and weighted sums are taken while it is still in
-    cache. The sums go through :func:`_weighted_sum`, not a BLAS GEMV: a
-    GEMV's rounding follows the row count and the BLAS thread count, so
-    its bits would change with the slicing and with the machine. A row's
-    sum and its transport distance read that row alone, so every column
-    is the same bit for bit whatever the two budgets.
+    Each row slice of ``_SLICE_DOUBLES`` pairs takes its product, is
+    scored for both signs, and has its transport distances and weighted
+    sums taken while it is in cache, through four reused slice buffers. A
+    one-row product would be a GEMV, whose bits differ from a GEMM's, so
+    it is taken as the last row of a two-row GEMM. The sums go through
+    :func:`_weighted_sum`, not a BLAS GEMV, whose rounding follows the row
+    and thread counts. A row's sum and transport distance read that row
+    alone, so no column's bits depend on the slice size wherever the GEMM
+    is row-local too: OpenBLAS is on the shipped problems, but not on
+    every shape (10-D clouds of 4097 atoms, for one).
     The transport column is NaN unless ``transport``.
     """
     atoms = emp.atoms
@@ -508,23 +508,21 @@ def _reflected_scores(V, emp, c, transport):
     e_plus = np.empty(T)
     e_minus = np.empty(T)
     w_gap = np.full(T, np.nan)
-    block = min(T, max(1, noise_mod._CHUNK_DOUBLES // N))
-    rows = min(block, max(1, noise_mod._SLICE_DOUBLES // N))
-    product = np.empty((block, N))
+    rows = min(T, max(1, noise_mod._SLICE_DOUBLES // N))
+    product = np.empty((max(2, rows), N))
     work, plus, minus = (np.empty((rows, N)) for _ in range(3))
     with np.errstate(divide="ignore"):
-        for lo in range(0, T, block):
-            hi = min(T, lo + block)
-            A = np.matmul(V[lo:hi], atoms.T, out=product[: hi - lo])
-            for s in range(lo, hi, rows):
-                e = min(hi, s + rows)
-                s_plus, s_minus, scratch = plus[: e - s], minus[: e - s], work[: e - s]
-                _score_block(v2[s:e], A[s - lo:e - lo], a2, c, 1.0, scratch, s_plus)
-                _score_block(v2[s:e], A[s - lo:e - lo], a2, c, -1.0, scratch, s_minus)
-                if transport:
-                    w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
-                e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
-                e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
+        for s in range(0, T, rows):
+            e = min(T, s + rows)
+            left = V[s:e] if e - s > 1 else V[[s, s]]
+            A = np.matmul(left, atoms.T, out=product[:left.shape[0]])[-(e - s):]
+            s_plus, s_minus, scratch = plus[:e - s], minus[:e - s], work[:e - s]
+            _score_block(v2[s:e], A, a2, c, 1.0, scratch, s_plus)
+            _score_block(v2[s:e], A, a2, c, -1.0, scratch, s_minus)
+            if transport:
+                w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
+            e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
+            e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
     return e_plus, e_minus, w_gap
 
 

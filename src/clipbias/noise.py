@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import row_norms
+from .vectors import _row_dots, row_norms
 
 # scipy.special and scipy.stats are imported where they are used: together
 # they take about 70 of the 100 MB that importing the package would
@@ -46,18 +46,20 @@ __all__ = [
 # exactly and ndtri(0) is -inf.
 _U_FLOOR = 2.0 ** -54
 
-# Doubles (32 MB) that one block of any blocked loop in the package may
-# hold: Monte Carlo draws, ledger score blocks, optimizer noise blocks.
+# Doubles (32 MB) in one Monte Carlo block of uniforms plus draws, whose
+# sums fix an estimate's bits, and in one block of score rows that
+# diagnostics._transport_rows sorts at once. Loops whose bits do not depend
+# on their block size run on the cache-sized budgets below.
 _CHUNK_DOUBLES = 1 << 22
 
-# Doubles (512 KB) in one row slice of a ledger score block or of a Monte
-# Carlo block: small enough that its elementwise passes run in L2 rather
-# than from memory.
+# Doubles (512 KB) in one row slice of a Monte Carlo block or of the
+# ledger's (step, atom) pairs: small enough that its elementwise passes run
+# in L2 rather than from memory.
 _SLICE_DOUBLES = 1 << 16
 
-# Doubles (1 MB) of uniforms in one Monte Carlo fill chunk: whole slices
-# of one block, drawn by the calling thread and turned into normals by a
-# pool worker.
+# Doubles (1 MB) of uniforms in one Monte Carlo fill chunk (whole slices of
+# one block, drawn by the calling thread and turned into normals by a pool
+# worker), and of noise in one block of optimizer steps.
 _FILL_DOUBLES = 1 << 17
 
 # Fill chunks in flight at once, each in its own ring buffer. The ring
@@ -444,10 +446,10 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     ``_SLICE_DOUBLES`` (``_map_rows``), so the elementwise work runs in
     cache, into one block buffer of statistics, and then draws the next
     chunk into the freed buffer. The projection is a row-local ``einsum``
-    per slice: a BLAS matrix-vector product's rows change in the last bit
-    with the row count, and its threads spin between calls. The draws
-    equal one serial batch of ``mc_samples``, and a Generator passed in
-    is continued as that batch would continue it.
+    per slice (``vectors._row_dots``): a BLAS matrix-vector product's rows
+    change in the last bit with the row count, and its threads spin
+    between calls. The draws equal one serial batch of ``mc_samples``, and
+    a Generator passed in is continued as that batch would continue it.
     """
     if not mc_samples:
         raise ValueError(
@@ -543,7 +545,7 @@ def _map_rows(model, u, row_map, project):
     """The statistic of the draws in one slice of filled rows ``u``."""
     part = row_map(model._from_rows(u))
     if project is not None:
-        part = np.einsum("ij,j->i", part, project)
+        part = _row_dots(part, project)
     return part
 
 

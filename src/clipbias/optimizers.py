@@ -215,11 +215,13 @@ def _engine(problem, config, sigma, k, seeds, record):
     """Run the update rule for every seed in lockstep.
 
     Noise is pre-drawn in blocks of steps from each seed's substreams,
-    in the order a step-by-step draw would take it, and each step
-    reduces over the same axes for every R, so a seed's path does not
-    depend on which other seeds share the run. Returns the final
-    iterates (R, d) and, with ``record``, every iterate (T + 1, R, d)
-    and clipped mean (T, R, d); otherwise those two are None.
+    in the order a step-by-step draw would take it, so no bit depends on
+    the block size; a block holds at most ``_FILL_DOUBLES`` doubles of
+    noise, so the step loop reads it from cache. Each step reduces over
+    the same axes for every R, and every row norm reads its row alone, so
+    a seed's path does not depend on which other seeds share the run.
+    Returns the final iterates (R, d) and, with ``record``, every iterate
+    (T + 1, R, d) and clipped mean (T, R, d); otherwise those two are None.
     """
     R = len(seeds)
     T = config.steps
@@ -243,17 +245,18 @@ def _engine(problem, config, sigma, k, seeds, record):
         gms = np.empty((T, R, d))
     centers = problem.centers
 
-    block = max(1, noise_mod._CHUNK_DOUBLES // max(1, R * m * d))
-    # Each block's noise is drawn into these buffers, one seed's rows at a
-    # time, and scaled there once: k * zeta and sigma * Z.
+    block = max(1, noise_mod._FILL_DOUBLES // max(1, R * m * d))
+    # Each block's draws go into these buffers, one seed's rows at a time,
+    # and are mapped there once for all seeds: subsample indices, k * zeta
+    # and sigma * Z.
+    us = np.empty((R, min(block, T), m)) if subsample else None
     zetas = np.empty((R, min(block, T), m, d)) if k > 0.0 else None
     Zs = np.empty((R, min(block, T), d)) if sigma > 0.0 else None
     for lo in range(0, T, block):
         B = min(block, T - lo)
         if subsample:
-            idx = np.stack([
-                np.minimum((g.random((B, m)) * n).astype(np.intp), n - 1) for g in idx_gens
-            ])  # (R, B, m)
+            u = _uniforms(idx_gens, us[:, :B])
+            idx = np.minimum((u * n).astype(np.intp), n - 1)  # (R, B, m)
         if k > 0.0:
             zeta = _normals(pert_gens, zetas[:, :B])
             zeta *= k
@@ -289,11 +292,16 @@ def _engine(problem, config, sigma, k, seeds, record):
     return X, xs, gms
 
 
-def _normals(gens, out):
-    """Standard normals from each seed's generator into its row of ``out``."""
+def _uniforms(gens, out):
+    """Uniforms from each seed's generator into its row of ``out``."""
     for g, rows in zip(gens, out):
         g.random(out=rows)
-    return normals_from_uniforms(out)
+    return out
+
+
+def _normals(gens, out):
+    """Standard normals from each seed's generator into its row of ``out``."""
+    return normals_from_uniforms(_uniforms(gens, out))
 
 
 def _diverged(step, what, values, seeds):

@@ -37,7 +37,9 @@ def row_norms(rows):
     alternatives can disagree with it in the last ulp.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    # _row_dots, with its narrow case inlined: this is the hottest call
+    narrow = rows.shape[1] <= 8192
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows) if narrow else _row_dots(rows, rows))
     # A norm above ~1.3e154 overflows in the squares, and one below 2^-511
     # loses bits to their underflow. The maximum finds the inf and NaN
     # norms and the minimum the small ones; a dot product of the norms
@@ -56,8 +58,25 @@ def row_norms(rows):
         _, exp = np.frexp(peak[keep])
         scaled = np.ldexp(rows[redo], -exp[:, None])
         with np.errstate(over="ignore"):  # a norm beyond the doubles stays inf
-            norms[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+            norms[redo] = np.ldexp(np.sqrt(_row_dots(scaled, scaled)), exp)
     return norms
+
+
+def _row_dots(rows, other):
+    """Dot product of each row of ``rows`` with the same row of ``other``,
+    or with ``other`` itself when it is a vector, by ``np.einsum``.
+
+    einsum sums a row of at most 8192 columns (numpy's buffer size) in one
+    piece, but cuts a wider row where its buffers end, and those ends move
+    with the rows summed beside it. Wider rows are summed one at a time, so
+    every row's bits are its own, as they are at 8192 columns or fewer.
+    """
+    spec = "ij,ij->i" if other.ndim == 2 else "ij,j->i"
+    if rows.shape[1] <= 8192:
+        return np.einsum(spec, rows, other)
+    if other.ndim == 2:
+        return np.array([np.einsum(spec, a[None], b[None])[0] for a, b in zip(rows, other)])
+    return np.array([np.einsum(spec, a[None], other)[0] for a in rows])
 
 
 def norm(v):

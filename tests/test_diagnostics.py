@@ -244,6 +244,21 @@ def test_monte_carlo_slices_move_no_bits(monkeypatch, route):
                 np.testing.assert_array_equal(got, want)
 
 
+def test_monte_carlo_projection_above_8192_dims_moves_no_bits(monkeypatch):
+    # A draw takes 20 001 doubles, so these budgets give 1-, 3- and 7-row
+    # slices. einsum cuts a row of more than 8192 columns where its buffers
+    # end, which moves with the rows beside it, so the clip's norms and the
+    # projection sum such rows one at a time.
+    v = np.full(10_000, 0.01)
+    model = perturb(Empirical(np.zeros((1, 10_000))), 1.0)
+    estimates = []
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(noise, "_SLICE_DOUBLES", rows * 20_001)
+        estimates.append(expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0),
+                                                mc_samples=40))
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
 @pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
 def test_monte_carlo_fill_moves_no_bits(monkeypatch, route):
     # Each draw takes 3 uniforms, so with 7-row slices these fill budgets
@@ -764,13 +779,13 @@ def test_ledger_columns_match_the_per_step_functions(problem, x0):
 
 
 def test_ledger_slices_match_the_per_step_functions(monkeypatch):
-    # 8 atoms: blocks of 23 rows (9 blocks, the last 16 rows tall) and
-    # slices of 5 rows (5, 5, 5, 5, 3 per full block; 5, 5, 5, 1 in the last)
-    steps = 200
+    # 8 atoms: 201 steps in slices of 8 rows, 25 of them and a last slice
+    # of one row, whose product is the last row of a two-row GEMM
+    steps = 201
     p = CLOUD3.noise_residuals()
     run = _ledger_run(CLOUD3, [0.5, -0.3, 0.2], steps=steps)
     iterates = run.iterates.copy()
-    iterates[23 + 7] = -p.atoms[5]  # v = -a exactly, in block 1's second slice
+    iterates[3 * 8 + 6] = -p.atoms[5]  # v = -a exactly, in the fourth slice
     assert CLOUD3.optimum.tolist() == [0.0, 0.0, 0.0]  # so gradients are the iterates
     traj = Trajectory(
         CLOUD3, run.config, 0.0, iterates, run.clipped_means, *CLOUD3.closed_forms(iterates)
@@ -783,10 +798,9 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
         return score_block(v2, A, *args)
 
     monkeypatch.setattr(diagnostics, "_score_block", counted)
-    monkeypatch.setattr(noise, "_CHUNK_DOUBLES", 8 * 23)
-    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 5)
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 8)
     ledger = descent_ledger(traj, wasserstein=True)
-    per_sign = [5, 5, 5, 5, 3] * 8 + [5, 5, 5, 1]
+    per_sign = [8] * 25 + [1]
     assert sliced_rows == [rows for rows in per_sign for _ in range(2)]
 
     p_tilde = symmetrize(p)
@@ -799,7 +813,7 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
         assert ledger.w_bound[t] == pytest.approx(want, abs=1e-12)
 
     # a row's weighted sum reads that row alone, so slicing moves no bits
-    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 23)
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * steps)
     whole = descent_ledger(traj, wasserstein=True)
     assert np.array_equal(ledger.e_p, whole.e_p)
     assert np.array_equal(ledger.e_p_tilde, whole.e_p_tilde)
@@ -824,21 +838,23 @@ def test_weighted_sum_of_a_row_reads_that_row_alone():
 
 
 def test_ledger_columns_do_not_depend_on_the_block_size(monkeypatch):
-    # 10 000 atoms: one 120-row block in 6-row slices, or 25-row blocks
-    # whose last slice is a single row
+    # 10 000 atoms, 120 steps: one 120-row slice against the default 6-row
+    # slices, 1-row slices, and 17-row slices whose last is a single row.
+    # A one-row product taken as a GEMV would move that row's bits.
     traj = _ledger_run(MIXTURE, [0.0] * 10, steps=120)
     ledgers = []
-    for rows in (noise._CHUNK_DOUBLES // 10_000, 25):
-        monkeypatch.setattr(noise, "_CHUNK_DOUBLES", rows * 10_000)
+    for rows in (120, noise._SLICE_DOUBLES // 10_000, 1, 17):
+        monkeypatch.setattr(noise, "_SLICE_DOUBLES", rows * 10_000)
         ledgers.append(descent_ledger(traj, wasserstein=True))
-    for column in ("e_p", "e_p_tilde", "w_bound"):
-        assert np.array_equal(getattr(ledgers[0], column), getattr(ledgers[1], column)), column
+    for ledger in ledgers[1:]:
+        for column in ("e_p", "e_p_tilde", "w_bound"):
+            assert np.array_equal(getattr(ledgers[0], column), getattr(ledger, column)), column
 
 
-def test_ledger_memory_is_one_product_block():
-    # 1 000 steps against 10 000 atoms take three 419-row blocks. The
-    # product block is reused and everything else is slice-sized; whole
-    # score blocks for both signs held three to four blocks at once.
+def test_ledger_memory_is_a_few_slice_buffers():
+    # 1 000 steps against 10 000 atoms take 167 six-row slices, each with
+    # its own product, through four reused 512 KB slice buffers: about
+    # 2.9 MB in all, against a 32 MB Monte Carlo block.
     traj = _ledger_run(MIXTURE, [0.0] * 10, steps=1000)
     tracemalloc.start()
     try:
@@ -847,7 +863,7 @@ def test_ledger_memory_is_one_product_block():
     finally:
         tracemalloc.stop()
     assert np.all(np.isnan(ledger.w_bound))  # the transport column resolves to off
-    assert peak < 1.5 * 8 * noise._CHUNK_DOUBLES
+    assert peak < 8 * 8 * noise._SLICE_DOUBLES
 
 
 def test_ledger_neither_symmetrizes_nor_calls_the_public_transport(monkeypatch):

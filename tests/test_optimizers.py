@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -187,10 +188,39 @@ def test_final_iterates_match_single_runs_across_noise_blocks(monkeypatch, probl
     seeds = [4, 9, 21]
     singles = [dp_sgd_perturbed(problem, replace(cfg, seed=s)).iterates[-1] for s in seeds]
     m = cfg.batch or problem.n
-    monkeypatch.setattr(noise_mod, "_CHUNK_DOUBLES", 7 * len(seeds) * m * problem.dim)
+    monkeypatch.setattr(noise_mod, "_FILL_DOUBLES", 7 * len(seeds) * m * problem.dim)
     batch = final_iterates(problem, cfg, seeds)
     for row, single in zip(batch, singles):
         assert np.array_equal(row, single)
+
+
+def test_final_iterates_match_single_runs_above_8192_dims():
+    # numpy's einsum cuts a row of more than 8192 columns where its buffers
+    # end, which moves with the rows beside it; row norms sum such rows one
+    # at a time, so an ensemble's clip reads each row alone.
+    problem = make_synthetic_mixture(seed=0, n=20, dim=10_000)
+    cfg = _cfg(alpha=0.1, steps=5, x0=[0.0] * 10_000, batch=1, k=0.5)
+    seeds = [0, 1, 2]
+    batch = final_iterates(problem, cfg, seeds)
+    for row, seed in zip(batch, seeds):
+        assert np.array_equal(row, dp_sgd_perturbed(problem, replace(cfg, seed=seed)).iterates[-1])
+
+
+def test_final_iterates_memory_is_a_cache_sized_noise_block():
+    # 100 seeds of 20 000 full-batch steps: each block of k * zeta holds at
+    # most _FILL_DOUBLES doubles (1 MB), and the step loop's own arrays are
+    # small, so the peak is about 1.6 MB.
+    problem = make_example1()
+    cfg = _cfg(steps=20_000, sigma=1.0, k=10.0)
+    seeds = range(100)
+    final_iterates(problem, replace(cfg, steps=10), seeds)  # imports scipy.special
+    tracemalloc.start()
+    try:
+        final_iterates(problem, cfg, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("problem, x0", [

@@ -55,6 +55,20 @@ def test_inner_and_cosine():
         vectors.cosine([0.0, 0.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("dim", [8192, 8193, 10_000])
+def test_row_norms_read_each_row_alone(dim):
+    # einsum cuts a row of more than 8192 columns where its buffers end,
+    # which moves with the rows beside it; such rows are summed one by one
+    rows = np.random.default_rng(dim).normal(size=(7, dim))
+    norms = vectors.row_norms(rows)
+    for i in range(7):
+        assert vectors.row_norms(rows[i:i + 1])[0] == norms[i]
+        assert vectors.row_norms(rows[i:i + 3])[0] == norms[i]
+    projected = vectors._row_dots(rows, rows[0])
+    for i in range(7):
+        assert vectors._row_dots(rows[i:i + 1], rows[0])[0] == projected[i]
+
+
 def test_norm_matches_row_norms():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(64, 9))
