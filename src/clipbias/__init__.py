@@ -23,7 +23,6 @@ from .diagnostics import (
 from .noise import (
     Empirical,
     IsotropicGaussian,
-    Perturbed,
     SeededStream,
     SphericalMixture,
     perturb,

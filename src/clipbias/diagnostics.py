@@ -261,24 +261,18 @@ def _transport_rows(scores_p, weights_p, scores_q, weights_q):
     m = n_p + scores_q.shape[1]
     mass_p = np.concatenate([weights_p, np.zeros(m - n_p)])
     mass_q = np.concatenate([np.zeros(n_p), weights_q])
-    out = np.empty(scores_p.shape[0])
-    # four (rows, m) arrays are live at once
-    block = max(1, noise_mod._CHUNK_DOUBLES // (4 * m))
-    for lo in range(0, out.shape[0], block):
-        hi = lo + block
-        pooled = np.concatenate([scores_p[lo:hi], scores_q[lo:hi]], axis=1)
-        order = pooled.argsort(axis=1, kind="stable")
-        pooled = np.take_along_axis(pooled, order, axis=1)
-        cdf_p = mass_p[order]
-        cdf_q = mass_q[order]
-        np.cumsum(cdf_p, axis=1, out=cdf_p)
-        np.cumsum(cdf_q, axis=1, out=cdf_q)
-        np.subtract(cdf_p, cdf_q, out=cdf_p)
-        np.abs(cdf_p, out=cdf_p)
-        gaps = np.subtract(pooled[:, 1:], pooled[:, :-1], out=cdf_q[:, :-1])
-        np.multiply(gaps, cdf_p[:, :-1], out=gaps)
-        out[lo:hi] = gaps.sum(axis=1)
-    return out
+    pooled = np.concatenate([scores_p, scores_q], axis=1)
+    order = pooled.argsort(axis=1, kind="stable")
+    pooled = np.take_along_axis(pooled, order, axis=1)
+    cdf_p = mass_p[order]
+    cdf_q = mass_q[order]
+    np.cumsum(cdf_p, axis=1, out=cdf_p)
+    np.cumsum(cdf_q, axis=1, out=cdf_q)
+    np.subtract(cdf_p, cdf_q, out=cdf_p)
+    np.abs(cdf_p, out=cdf_p)
+    gaps = np.subtract(pooled[:, 1:], pooled[:, :-1], out=cdf_q[:, :-1])
+    np.multiply(gaps, cdf_p[:, :-1], out=gaps)
+    return gaps.sum(axis=1)
 
 
 def descent_function(y, c, z=0.25):

@@ -1,11 +1,16 @@
 """Gradient-noise models: sampling, symmetrization, norm probabilities.
 
-Every model samples through a counter-based RNG contract. A
+Every model is a :class:`SphericalMixture`, a weighted sum of spherical
+normals N(center, scale^2 I): an :class:`Empirical` atom cloud has
+scale 0 everywhere, an :class:`IsotropicGaussian` is one component at
+the origin, and :func:`perturb` widens every scale. So every model
+draws one way, through a counter-based RNG contract. A
 :class:`SeededStream` is a ``(master_seed, stream_id)`` pair mapped to
-a Philox generator, and each draw consumes a fixed-width row of
-uniforms which is transformed by the inverse normal CDF (one uniform
-per normal variate). Draw ``i`` of a stream is therefore a pure
-function of ``(master_seed, stream_id, i)``: prefixes of a sample
+a Philox generator, and each draw consumes one row of uniforms: the
+first picks the component by cumulative weight, and when any scale is
+positive ``dim`` more become normals through the inverse normal CDF
+(one uniform per normal variate). Draw ``i`` of a stream is therefore a
+pure function of ``(master_seed, stream_id, i)``: prefixes of a sample
 batch match shorter batches bit for bit, so results do not depend on
 how work is chunked across workers.
 
@@ -14,8 +19,8 @@ thread, a chunk at a time, while a process-wide pool of threads, one
 per core the process may run on, turns the chunks already drawn into
 normals; the inverse normal CDF is elementwise, so this changes no bit.
 
-Norm probabilities ``P(||xi|| < r)`` are exact for every shipped model
-(finite weight sums, chi-square, or noncentral chi-square), with an
+Norm probabilities ``P(||xi|| < r)`` are exact for every model (finite
+weight sums, chi-square, or noncentral chi-square), with an
 optional Monte Carlo route kept for cross-checking.
 """
 
@@ -36,7 +41,6 @@ __all__ = [
     "Empirical",
     "IsotropicGaussian",
     "SphericalMixture",
-    "Perturbed",
     "symmetrize",
     "prob_norm_below",
     "perturb",
@@ -47,9 +51,8 @@ __all__ = [
 _U_FLOOR = 2.0 ** -54
 
 # Doubles (32 MB) in one Monte Carlo block of uniforms plus draws, whose
-# sums fix an estimate's bits, and in one block of score rows that
-# diagnostics._transport_rows sorts at once. Loops whose bits do not depend
-# on their block size run on the cache-sized budgets below.
+# sums fix an estimate's bits. Loops whose bits do not depend on their
+# block size run on the cache-sized budgets below.
 _CHUNK_DOUBLES = 1 << 22
 
 # Doubles (512 KB) in one row slice of a Monte Carlo block or of the
@@ -147,15 +150,13 @@ def _resolve_generator(stream):
 
 
 class _Model:
-    """Shared sampling plumbing: fixed uniform row width per draw.
-
-    The last ``normal_columns`` uniforms of a draw's row become standard
-    normals, which ``_from_rows`` maps to the draw.
+    """Shared sampling plumbing: one row of ``rows_per_draw`` uniforms per
+    draw. Every column after the first becomes a standard normal, and
+    ``_from_rows`` maps the row to the draw.
     """
 
     dim: int
     rows_per_draw: int
-    normal_columns: int
 
     def sample(self, stream, count):
         """Draw ``count`` vectors, shape ``(count, dim)``.
@@ -170,18 +171,68 @@ class _Model:
             raise ValueError("count must be >= 0")
         gen = _resolve_generator(stream)
         u = gen.random((count, self.rows_per_draw))
-        if self.normal_columns:
-            normals_from_uniforms(u[:, self.rows_per_draw - self.normal_columns:])
+        if self.rows_per_draw > 1:
+            normals_from_uniforms(u[:, 1:])
         return self._from_rows(u)
 
     def _from_rows(self, u):
-        """Draws from rows of uniforms whose normal columns hold normals;
-        ``u`` may be overwritten."""
+        """Draws from rows of uniforms whose columns after the first hold
+        normals; ``u`` may be overwritten."""
         raise NotImplementedError
 
 
-class Empirical(_Model):
-    """Finite weighted atom cloud in R^d.
+class SphericalMixture(_Model):
+    """Mixture of spherical normals: sum_i w_i * N(center_i, scale_i^2 I).
+
+    Every noise model is one: an atom is a component of scale 0. A draw
+    takes one uniform, which picks the component by cumulative weight,
+    then ``dim`` normals when any scale is positive.
+    """
+
+    def __init__(self, weights, centers, scales):
+        centers = np.asarray(centers, dtype=np.float64)
+        if centers.ndim == 1:
+            centers = centers[:, None]
+        if centers.ndim != 2 or centers.shape[0] < 1:
+            raise ValueError(f"need a non-empty (n, dim) array of centers, got {centers.shape}")
+        weights = np.asarray(weights, dtype=np.float64)
+        scales = np.asarray(scales, dtype=np.float64)
+        m = centers.shape[0]
+        if weights.shape != (m,) or scales.shape != (m,):
+            raise ValueError("weights, centers and scales must agree on component count")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers have non-finite components")
+        # NaN fails the sign test and inf the sum test
+        if not np.all(weights > 0.0) or abs(float(np.sum(weights)) - 1.0) > 1e-12:
+            raise ValueError("component weights must be positive and sum to 1")
+        if np.any(~np.isfinite(scales)) or np.any(scales < 0.0):
+            raise ValueError("component scales must be >= 0")
+        self.weights = weights
+        self.centers = centers
+        self.scales = scales
+        self._cum = np.cumsum(weights)
+        self.rows_per_draw = 1 + self.dim if np.any(scales > 0.0) else 1
+
+    @property
+    def dim(self):
+        return self.centers.shape[1]
+
+    def _from_rows(self, u):
+        idx = np.searchsorted(self._cum, u[:, 0], side="right")
+        idx = np.minimum(idx, len(self.weights) - 1)
+        if self.rows_per_draw == 1:
+            return self.centers[idx]
+        z = u[:, 1:]
+        z *= self.scales[idx][:, None]
+        z += self.centers[idx]
+        return z
+
+    def mean(self):
+        return self.weights @ self.centers
+
+
+class Empirical(SphericalMixture):
+    """Finite weighted atom cloud in R^d: a mixture of scale-0 components.
 
     Args:
       atoms: array-like of shape (n, dim) or (n,) for dim 1.
@@ -191,40 +242,14 @@ class Empirical(_Model):
 
     def __init__(self, atoms, weights=None):
         atoms = np.asarray(atoms, dtype=np.float64)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] < 1:
-            raise ValueError(f"atoms must be a non-empty (n, dim) array, got shape {atoms.shape}")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atoms have non-finite components")
-        n = atoms.shape[0]
-        if weights is None:
+        n = atoms.shape[0] if atoms.ndim else 0
+        if weights is None and n:
             weights = np.full(n, 1.0 / n)
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ValueError(f"need {n} weights, got shape {weights.shape}")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise ValueError("weights must be positive reals")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {float(np.sum(weights))!r}, expected 1")
-        self.atoms = atoms
-        self.weights = weights
-        self._cum = np.cumsum(weights)
+        super().__init__(weights, atoms, np.zeros(n))
 
     @property
-    def dim(self):
-        return self.atoms.shape[1]
-
-    rows_per_draw = 1
-    normal_columns = 0
-
-    def _from_rows(self, u):
-        idx = np.searchsorted(self._cum, u[:, 0], side="right")
-        idx = np.minimum(idx, len(self.weights) - 1)
-        return self.atoms[idx]
-
-    def mean(self):
-        return self.weights @ self.atoms
+    def atoms(self):
+        return self.centers
 
     def to_json_dict(self):
         return {
@@ -248,129 +273,31 @@ class Empirical(_Model):
         return cls(atoms, weights)
 
 
-class IsotropicGaussian(_Model):
-    """Mean-zero spherical normal, scale * N(0, I_dim)."""
+class IsotropicGaussian(SphericalMixture):
+    """Mean-zero spherical normal, scale * N(0, I_dim): one component at
+    the origin."""
 
     def __init__(self, scale, dim):
         scale = float(scale)
         dim = int(dim)
-        if not np.isfinite(scale) or scale < 0.0:
-            raise ValueError(f"scale must be >= 0, got {scale}")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        super().__init__(np.ones(1), np.zeros((1, dim)), np.array([scale]))
         self.scale = scale
-        self.dim = dim
-
-    @property
-    def rows_per_draw(self):
-        return self.dim
-
-    @property
-    def normal_columns(self):
-        return self.dim
-
-    def _from_rows(self, u):
-        u *= self.scale
-        return u
-
-    def mean(self):
-        return np.zeros(self.dim)
-
-
-class SphericalMixture(_Model):
-    """Mixture of spherical normals: sum_i w_i * N(center_i, scale_i^2 I)."""
-
-    def __init__(self, weights, centers, scales):
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.ndim == 1:
-            centers = centers[:, None]
-        weights = np.asarray(weights, dtype=np.float64)
-        scales = np.asarray(scales, dtype=np.float64)
-        m = centers.shape[0]
-        if weights.shape != (m,) or scales.shape != (m,):
-            raise ValueError("weights, centers and scales must agree on component count")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("centers have non-finite components")
-        # NaN fails the sign test and inf the sum test
-        if not np.all(weights > 0.0) or abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise ValueError("component weights must be positive and sum to 1")
-        if np.any(~np.isfinite(scales)) or np.any(scales < 0.0):
-            raise ValueError("component scales must be >= 0")
-        self.weights = weights
-        self.centers = centers
-        self.scales = scales
-        self._cum = np.cumsum(weights)
-
-    @property
-    def dim(self):
-        return self.centers.shape[1]
-
-    @property
-    def rows_per_draw(self):
-        return 1 + self.dim
-
-    @property
-    def normal_columns(self):
-        return self.dim
-
-    def _from_rows(self, u):
-        idx = np.searchsorted(self._cum, u[:, 0], side="right")
-        idx = np.minimum(idx, len(self.weights) - 1)
-        z = u[:, 1:]
-        z *= self.scales[idx][:, None]
-        z += self.centers[idx]
-        return z
-
-    def mean(self):
-        return self.weights @ self.centers
-
-
-class Perturbed(_Model):
-    """Base model plus independent spherical noise k * N(0, I)."""
-
-    def __init__(self, base, k):
-        k = float(k)
-        if not np.isfinite(k) or k <= 0.0:
-            raise ValueError(f"perturbation scale must be > 0, got {k}")
-        if isinstance(base, Perturbed):
-            # Sums of independent spherical normals collapse, so keep a
-            # single wrapper with the combined scale.
-            k = float(np.hypot(base.k, k))
-            base = base.base
-        self.base = base
-        self.k = k
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def rows_per_draw(self):
-        return self.base.rows_per_draw + self.dim
-
-    @property
-    def normal_columns(self):
-        return self.base.normal_columns + self.dim
-
-    def _from_rows(self, u):
-        split = self.base.rows_per_draw
-        z = u[:, split:]
-        z *= self.k
-        z += self.base._from_rows(u[:, :split])
-        return z
-
-    def mean(self):
-        return self.base.mean()
 
 
 def perturb(model, k):
-    """Convolve ``model`` with k * N(0, I); ``k == 0`` returns ``model``."""
+    """Convolve ``model`` with k * N(0, I); ``k == 0`` returns ``model``.
+
+    Independent spherical normals add their variances, so each component
+    keeps its weight and center and its scale becomes hypot(scale, k).
+    """
     k = float(k)
     if k < 0.0 or not np.isfinite(k):
         raise ValueError(f"perturbation scale must be >= 0, got {k}")
     if k == 0.0:
         return model
-    return Perturbed(model, k)
+    return SphericalMixture(model.weights, model.centers, np.hypot(model.scales, k))
 
 
 def symmetrize(model):
@@ -423,7 +350,7 @@ def prob_norm_below(model, radius, stream=None, mc_samples=0):
     if not np.isfinite(radius) or radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if mc_samples:
-        p, _ = _mc_moments(model, stream, mc_samples, lambda x: np.linalg.norm(x, axis=1) < radius)
+        p, _ = _mc_moments(model, stream, mc_samples, lambda x: row_norms(x) < radius)
         return p, float(np.sqrt(p * (1.0 - p) / int(mc_samples)))
     return _prob_norm_exact(model, radius), 0.0
 
@@ -465,7 +392,6 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     from concurrent.futures import wait
 
     draw = model.rows_per_draw
-    normal_from = draw - model.normal_columns
     width = draw + model.dim
     block = min(count, max(1, _CHUNK_DOUBLES // width))
     rows = min(block, max(1, _SLICE_DOUBLES // width))
@@ -481,7 +407,7 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
         if step is not None:
             u = buffer[:step[1]]
             gen.random(out=u)
-            pending.append((*step, buffer, pool.submit(_to_normals, u[:, normal_from:])))
+            pending.append((*step, buffer, pool.submit(_to_normals, u[:, 1:])))
 
     mapped = None
     # -0.0 is the exact additive identity, so a single block sums as itself
@@ -550,26 +476,10 @@ def _map_rows(model, u, row_map, project):
 
 
 def _prob_norm_exact(model, radius):
-    weights, centers, scales = _spherical_components(model)
-    terms = weights * _ball_mass(radius, row_norms(centers), scales, model.dim)
+    terms = model.weights * _ball_mass(radius, row_norms(model.centers), model.scales, model.dim)
     # Only the nonzero terms are summed: zeros would regroup numpy's
     # pairwise sum and move the last bit of an atom cloud's weight sum.
     return float(np.sum(terms[terms != 0.0]))
-
-
-def _spherical_components(model):
-    """``(weights, centers, scales)`` of a model that is a weighted sum of
-    spherical normals N(center, scale^2 I); an atom has scale 0."""
-    if isinstance(model, Empirical):
-        return model.weights, model.atoms, np.zeros(model.weights.shape[0])
-    if isinstance(model, IsotropicGaussian):
-        return np.ones(1), np.zeros((1, model.dim)), np.array([model.scale])
-    if isinstance(model, SphericalMixture):
-        return model.weights, model.centers, model.scales
-    if isinstance(model, Perturbed):
-        weights, centers, scales = _spherical_components(model.base)
-        return weights, centers, np.hypot(scales, model.k)
-    raise TypeError(f"no exact norm probability for {type(model).__name__}")
 
 
 def _ball_mass(radius, shifts, scales, dim):

@@ -10,7 +10,7 @@ output against these, never against the package itself.
 import math
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -53,6 +53,26 @@ def ball_masses(radii, shift, scale, dim):
     if shift == 0.0:
         return [float(m) for m in stats.chi2.cdf(x, df=dim)]
     return [float(m) for m in stats.ncx2.cdf(x, df=dim, nc=(shift / scale) ** 2)]
+
+
+def mixture_draws(generator, count, weights, centers, scales):
+    """``count`` draws of sum_i w_i * N(center_i, scale_i^2 I), built by
+    hand from one row of uniforms per draw.
+
+    Column 0 picks the component by cumulative weight; when any scale is
+    positive, ``dim`` more columns become normals through the inverse CDF
+    of the uniform, floored at 2**-54 (the generator can return 0.0).
+    """
+    weights = np.asarray(weights, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    spread = bool(np.any(scales > 0.0))
+    u = generator.random((count, 1 + centers.shape[1] if spread else 1))
+    idx = np.minimum(np.searchsorted(np.cumsum(weights), u[:, 0], side="right"), len(weights) - 1)
+    if not spread:
+        return centers[idx]
+    normals = special.ndtri(np.maximum(u[:, 1:], 2.0 ** -54))
+    return normals * scales[idx][:, None] + centers[idx]
 
 
 def expected_clipped_inner_enum(v, atoms, weights, c):

@@ -9,7 +9,6 @@ import pytest
 from clipbias.noise import (
     Empirical,
     IsotropicGaussian,
-    Perturbed,
     SeededStream,
     SphericalMixture,
     perturb,
@@ -17,7 +16,7 @@ from clipbias.noise import (
     symmetrize,
 )
 from clipbias.problems import make_synthetic_mixture
-from oracles import ball_masses, phi_cdf
+from oracles import ball_masses, mixture_draws, phi_cdf
 
 RES1 = Empirical([[4.0], [4.0], [-8.0]])
 
@@ -28,7 +27,7 @@ def _models():
         Empirical([[1.0, -2.0], [0.5, 3.0]], weights=[0.25, 0.75]),
         IsotropicGaussian(1.5, dim=3),
         SphericalMixture([0.5, 0.5], [[2.0, 0.0], [-1.0, 1.0]], [0.1, 2.0]),
-        Perturbed(RES1, 4.0),
+        perturb(RES1, 4.0),
     ]
 
 
@@ -59,6 +58,25 @@ def test_sample_generator_continuation(model):
     second = model.sample(gen, 70)
     whole = model.sample(SeededStream(9, 2), 100)
     assert np.array_equal(np.vstack([first, second]), whole)
+
+
+@pytest.mark.parametrize(
+    "model, weights, centers, scales",
+    [
+        (Empirical([[1.0, -2.0], [0.5, 3.0], [0.0, 1.0]], weights=[0.25, 0.5, 0.25]),
+         [0.25, 0.5, 0.25], [[1.0, -2.0], [0.5, 3.0], [0.0, 1.0]], [0.0, 0.0, 0.0]),
+        (perturb(RES1, 4.0), [1 / 3, 1 / 3, 1 / 3], [[4.0], [4.0], [-8.0]], [4.0, 4.0, 4.0]),
+        (SphericalMixture([0.3, 0.7], [[1.0, 0.0, 2.0], [0.0, -2.0, 0.5]], [0.0, 1.5]),
+         [0.3, 0.7], [[1.0, 0.0, 2.0], [0.0, -2.0, 0.5]], [0.0, 1.5]),
+        (IsotropicGaussian(1.5, dim=3), [1.0], [[0.0, 0.0, 0.0]], [1.5]),
+    ],
+)
+def test_sample_matches_the_draw_layout(model, weights, centers, scales):
+    # one uniform picks the component, then dim normals when any scale is
+    # positive: every model draws exactly as this hand-built mixture does
+    for seed, stream, count in ((0, 0, 1), (7, 3, 257)):
+        want = mixture_draws(SeededStream(seed, stream).generator(), count, weights, centers, scales)
+        assert np.array_equal(model.sample(SeededStream(seed, stream), count), want)
 
 
 def test_empirical_frequencies():
@@ -142,11 +160,16 @@ def test_symmetrize_gaussian_passthrough():
 
 
 def test_perturb_flattens_and_zero_k_is_identity():
-    assert perturb(RES1, 0.0) is RES1
-    nested = perturb(perturb(RES1, 3.0), 4.0)
-    assert isinstance(nested, Perturbed)
-    assert nested.base is RES1
-    assert nested.k == 5.0  # hypot(3, 4)
+    mix = SphericalMixture([0.3, 0.7], [[1.0, 0.0], [0.0, -2.0]], [0.0, 12.0])
+    for model in (RES1, IsotropicGaussian(12.0, dim=2), mix):
+        assert perturb(model, 0.0) is model
+        nested = perturb(perturb(model, 3.0), 4.0)
+        # independent spherical normals add variances: hypot(hypot(s, 3), 4)
+        assert np.array_equal(nested.scales, np.hypot(np.hypot(model.scales, 3.0), 4.0))
+        assert np.array_equal(nested.centers, model.centers)
+        assert np.array_equal(nested.weights, model.weights)
+    assert np.all(perturb(perturb(RES1, 3.0), 4.0).scales == 5.0)
+    assert np.all(perturb(IsotropicGaussian(12.0, dim=2), 9.0).scales == 15.0)
 
 
 def test_perturb_moments():
@@ -187,9 +210,9 @@ def test_prob_norm_below_monotone_in_radius():
     [
         IsotropicGaussian(1.3, dim=5),
         SphericalMixture([0.3, 0.7], [[1.0, 0.0], [0.0, -2.0]], [0.5, 1.5]),
-        Perturbed(Empirical([[1.0, 1.0], [-2.0, 0.5]]), 2.0),
-        Perturbed(IsotropicGaussian(0.8, dim=3), 0.6),
-        Perturbed(SphericalMixture([0.3, 0.7], [[1.0, 0.0], [0.0, -2.0]], [0.0, 1.5]), 0.7),
+        perturb(Empirical([[1.0, 1.0], [-2.0, 0.5]]), 2.0),
+        perturb(IsotropicGaussian(0.8, dim=3), 0.6),
+        perturb(SphericalMixture([0.3, 0.7], [[1.0, 0.0], [0.0, -2.0]], [0.0, 1.5]), 0.7),
     ],
 )
 def test_prob_norm_below_exact_vs_monte_carlo(model):
@@ -202,14 +225,17 @@ def test_prob_norm_below_exact_vs_monte_carlo(model):
 
 def test_prob_norm_below_degenerate_scales():
     # zero spread: mass is all-or-nothing at the shift norm
-    m = Perturbed(Empirical([[3.0, 4.0]]), 1e-300)
+    m = perturb(Empirical([[3.0, 4.0]]), 1e-300)
     assert prob_norm_below(m, 6.0)[0] == pytest.approx(1.0, abs=1e-12)
     assert prob_norm_below(m, 4.0)[0] == pytest.approx(0.0, abs=1e-12)
-    # a huge atom: the squares of its norm overflow, the norm does not
+    # a huge atom: the squares of its norm overflow, the norm does not,
+    # on the exact route and on the Monte Carlo one
     huge = Empirical([[1e200, 0.0]])
     for model in (huge, perturb(huge, 1.0)):
-        assert prob_norm_below(model, 1e300)[0] == 1.0
-        assert prob_norm_below(model, 0.5e200)[0] == 0.0
+        for radius, want in ((1e300, 1.0), (0.5e200, 0.0)):
+            assert prob_norm_below(model, radius)[0] == want
+            mc = prob_norm_below(model, radius, stream=SeededStream(0, 0), mc_samples=100)
+            assert mc == (want, 0.0)
 
 
 @pytest.mark.parametrize("k", [1.0, 10.0])
