@@ -18,6 +18,7 @@ internally and raise :class:`CheckFailure` when the data contradicts
 it beyond 3 standard errors.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,7 +484,7 @@ def _reflected_scores(V, emp, c, transport):
 
     Each row slice of ``_SLICE_DOUBLES`` pairs takes its product, is
     scored for both signs, and has its transport distances and weighted
-    sums taken while it is in cache, through four reused slice buffers. A
+    sums taken while it is in cache, through four slice buffers. A
     one-row product would be a GEMV, whose bits differ from a GEMM's, so
     it is taken as the last row of a two-row GEMM. The sums go through
     :func:`_weighted_sum`, not a BLAS GEMV, whose rounding follows the row
@@ -491,7 +492,19 @@ def _reflected_scores(V, emp, c, transport):
     alone, so no column's bits depend on the slice size wherever the GEMM
     is row-local too: OpenBLAS is on the shipped problems, but not on
     every shape (10-D clouds of 4097 atoms, for one).
-    The transport column is NaN unless ``transport``.
+
+    The slices are scored on the pool of ``noise._pool()``: each of at
+    most one worker per core (``noise._workers()``) takes whole slices, one
+    at a time under a lock, from one shared iterator, through its own set
+    of the four buffers (all allocated here, before any is submitted:
+    buffers made on the workers would each grow a malloc arena), and
+    writes its slices' rows alone. The buffers, 2 MB a worker, grow with
+    the core count. The
+    product's right factor is a contiguous copy of ``atoms.T``: against
+    the transposed view, OpenBLAS's GEMMs on several threads at once ran
+    slower than the serial loop. Slices are cut as in one serial pass and
+    each is computed alone, so no bit depends on the worker count. The
+    transport column is NaN unless ``transport``.
     """
     atoms = emp.atoms
     weights = emp.weights
@@ -499,24 +512,43 @@ def _reflected_scores(V, emp, c, transport):
     N = atoms.shape[0]
     v2 = np.einsum("td,td->t", V, V)[:, None]
     a2 = np.einsum("nd,nd->n", atoms, atoms)
+    right = np.ascontiguousarray(atoms.T)
     e_plus = np.empty(T)
     e_minus = np.empty(T)
     w_gap = np.full(T, np.nan)
     rows = min(T, max(1, noise_mod._SLICE_DOUBLES // N))
-    product = np.empty((max(2, rows), N))
-    work, plus, minus = (np.empty((rows, N)) for _ in range(3))
-    with np.errstate(divide="ignore"):
-        for s in range(0, T, rows):
-            e = min(T, s + rows)
-            left = V[s:e] if e - s > 1 else V[[s, s]]
-            A = np.matmul(left, atoms.T, out=product[:left.shape[0]])[-(e - s):]
-            s_plus, s_minus, scratch = plus[:e - s], minus[:e - s], work[:e - s]
-            _score_block(v2[s:e], A, a2, c, 1.0, scratch, s_plus)
-            _score_block(v2[s:e], A, a2, c, -1.0, scratch, s_minus)
-            if transport:
-                w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
-            e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
-            e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
+    starts = iter(range(0, T, rows))
+    hand_out = threading.Lock()
+
+    def score(product, work, plus, minus):
+        """Score slices taken from ``starts`` through one buffer set, until
+        none is left."""
+        with np.errstate(divide="ignore"):
+            while True:
+                with hand_out:  # each slice to one worker, with or without a GIL
+                    s = next(starts, None)
+                if s is None:
+                    return
+                e = min(T, s + rows)
+                left = V[s:e] if e - s > 1 else V[[s, s]]
+                A = np.matmul(left, right, out=product[:left.shape[0]])[-(e - s):]
+                s_plus, s_minus, scratch = plus[:e - s], minus[:e - s], work[:e - s]
+                _score_block(v2[s:e], A, a2, c, 1.0, scratch, s_plus)
+                _score_block(v2[s:e], A, a2, c, -1.0, scratch, s_minus)
+                if transport:
+                    w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
+                e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
+                e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
+
+    from concurrent.futures import wait
+
+    pool = noise_mod._pool()
+    sets = [(np.empty((max(2, rows), N)),) + tuple(np.empty((rows, N)) for _ in range(3))
+            for _ in range(min(noise_mod._workers(), -(-T // rows)))]
+    futures = [pool.submit(score, *buffers) for buffers in sets]
+    wait(futures)
+    for future in futures:
+        future.result()  # raises a worker's error, once every worker is done
     return e_plus, e_minus, w_gap
 
 

@@ -18,6 +18,8 @@ The Monte Carlo routes draw their uniforms in order on the calling
 thread, a chunk at a time, while a process-wide pool of threads, one
 per core the process may run on, turns the chunks already drawn into
 normals; the inverse normal CDF is elementwise, so this changes no bit.
+The descent ledger scores its row slices on the same pool
+(``diagnostics._reflected_scores``), each slice on its own.
 
 Norm probabilities ``P(||xi|| < r)`` are exact for every model (finite
 weight sums, chi-square, or noncentral chi-square), with an
@@ -73,7 +75,7 @@ _RING = 8
 # a value this large, so that the values and their squares stay finite.
 _SQUARE_LIMIT = 2.0 ** 500
 
-_POOL = None  # the fill pool, made on first use by _pool()
+_POOL = None  # the worker pool, made on first use by _pool()
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,8 @@ def normals_from_uniforms(u):
 
 
 def _to_normals(u):
-    """``normals_from_uniforms`` without its return, for the fill pool.
-
-    Pool threads run only this, never a public function: the benchmark's
-    span tracer keeps one stack for all threads.
-    """
+    """``normals_from_uniforms`` without its return, for the pool (see
+    :func:`_pool`)."""
     from scipy import special
 
     np.maximum(u, _U_FLOOR, out=u)
@@ -116,18 +115,24 @@ def _to_normals(u):
 
 
 def _pool():
-    """The process-wide pool of fill threads, one per core this process
-    may run on; made on first use."""
+    """The process-wide pool of worker threads, one per core this process
+    may run on; made on first use. It turns Monte Carlo fill chunks into
+    normals and scores the descent ledger's row slices. Its threads run
+    private kernels only, never a public function: the benchmark's span
+    tracer keeps one stack for all threads."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        if hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-        _POOL = ThreadPoolExecutor(workers, thread_name_prefix="clipbias-fill")
+        _POOL = ThreadPoolExecutor(_workers(), thread_name_prefix="clipbias-pool")
     return _POOL
+
+
+def _workers():
+    """The number of cores this process may run on: the pool's size."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _forget_pool():

@@ -1,6 +1,10 @@
+import contextlib
+import dataclasses
+import inspect
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipbias import diagnostics, noise
+import clipbias
+from clipbias import cli, diagnostics, noise, optimizers, privacy, probes, problems, vectors
 from clipbias.diagnostics import (
     CheckFailure,
     censored_normal_clip_mean,
@@ -793,15 +798,17 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
     score_block = diagnostics._score_block
     sliced_rows = []
 
-    def counted(v2, A, *args):
-        sliced_rows.append(A.shape[0])
-        return score_block(v2, A, *args)
+    def counted(v2, A, a2, c, sign, *args):
+        sliced_rows.append((A.shape[0], sign))  # list.append is atomic
+        return score_block(v2, A, a2, c, sign, *args)
 
     monkeypatch.setattr(diagnostics, "_score_block", counted)
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 8)
     ledger = descent_ledger(traj, wasserstein=True)
-    per_sign = [8] * 25 + [1]
-    assert sliced_rows == [rows for rows in per_sign for _ in range(2)]
+    # pool workers finish slices in any order, so compare the sizes sorted
+    assert sorted(rows for rows, _ in sliced_rows) == sorted([8] * 25 * 2 + [1] * 2)
+    for sign in (1.0, -1.0):
+        assert sum(rows for rows, s in sliced_rows if s == sign) == steps
 
     p_tilde = symmetrize(p)
     for t in range(steps):
@@ -851,19 +858,120 @@ def test_ledger_columns_do_not_depend_on_the_block_size(monkeypatch):
             assert np.array_equal(getattr(ledgers[0], column), getattr(ledger, column)), column
 
 
-def test_ledger_memory_is_a_few_slice_buffers():
-    # 1 000 steps against 10 000 atoms take 167 six-row slices, each with
-    # its own product, through four reused 512 KB slice buffers: about
-    # 2.9 MB in all, against a 32 MB Monte Carlo block.
-    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=1000)
-    tracemalloc.start()
+@contextlib.contextmanager
+def _pool_of(monkeypatch, workers):
+    """Run the package's pool work on a new pool of ``workers`` threads,
+    whatever the cores."""
+    monkeypatch.setattr(noise, "_workers", lambda: workers)
+    monkeypatch.setattr(noise, "_POOL", None)
     try:
-        ledger = descent_ledger(traj)
-        peak = tracemalloc.get_traced_memory()[1]
+        yield
     finally:
-        tracemalloc.stop()
-    assert np.all(np.isnan(ledger.w_bound))  # the transport column resolves to off
-    assert peak < 8 * 8 * noise._SLICE_DOUBLES
+        if noise._POOL is not None:
+            noise._POOL.shutdown()
+
+
+def test_ledger_memory_is_a_few_slice_buffers(monkeypatch):
+    # 1 000 steps against 10 000 atoms take 167 six-row slices, each with
+    # its own product, through four reused 512 KB slice buffers per pool
+    # worker, against a 32 MB Monte Carlo block. The contiguous copy of the
+    # atoms and the columns take the rest: 3.9 MB in all with one worker.
+    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=1000)
+    for workers in (1, 3):
+        with _pool_of(monkeypatch, workers):
+            tracemalloc.start()
+            try:
+                ledger = descent_ledger(traj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.all(np.isnan(ledger.w_bound))  # the transport column resolves to off
+        assert peak < (4 * workers + 4) * 8 * noise._SLICE_DOUBLES, workers
+
+
+def _ledger_bytes(ledger):
+    return {field.name: np.asarray(getattr(ledger, field.name)).tobytes()
+            for field in dataclasses.fields(ledger)}
+
+
+# 513 atoms in 7-D: OpenBLAS's GEMM rounds these products differently
+# against the transposed atoms than against a contiguous copy of them.
+CLOUD513 = QuadraticProblem(np.random.default_rng(7).normal(size=(513, 7)) * 3.0)
+
+
+@pytest.mark.parametrize("problem, steps", [(MIXTURE, 120), (CLOUD513, 600)],
+                         ids=["mixture", "cloud513"])
+def test_ledger_bits_do_not_depend_on_the_worker_count(monkeypatch, problem, steps):
+    # 20 six-row slices of the mixture, or five 127-row slices of the cloud,
+    # each scored on whichever worker takes it. Three workers, more than the
+    # cores, and a short switch interval stress the shared slice sequence: a
+    # slice that no worker took would leave its rows unwritten.
+    traj = _ledger_run(problem, [0.5] * problem.dim, steps=steps)
+    ledgers = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            with _pool_of(monkeypatch, workers):
+                ledgers.append(_ledger_bytes(descent_ledger(traj, wasserstein=True)))
+    finally:
+        sys.setswitchinterval(switch)
+    assert ledgers[0] == ledgers[1]
+
+
+def test_ledger_pool_threads_call_no_public_function(monkeypatch):
+    # The benchmark's span tracer keeps one stack for every thread, so a
+    # public function called from a pool worker would corrupt its spans.
+    off_main = []
+    names = set(diagnostics.__all__) | set(vectors.__all__) | set(noise.__all__)
+    names.add("normals_from_uniforms")
+    for module in (clipbias, vectors, noise, problems, privacy, optimizers, diagnostics, probes,
+                   cli):
+        for name in names:
+            fn = getattr(module, name, None)
+            if not inspect.isfunction(fn):
+                continue  # classes keep their identity for isinstance
+
+            def on_main(*args, _fn=fn, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(_fn.__name__)
+                    raise AssertionError(f"{_fn.__name__} called from a pool thread")
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, on_main)
+    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=120)
+    with _pool_of(monkeypatch, 3):
+        ledger = descent_ledger(traj, wasserstein=True)
+    assert off_main == []
+    assert ledger.passed
+
+
+@pytest.mark.parametrize("j", [-200, 200])
+def test_ledger_scales_exactly_with_powers_of_two(j):
+    # Scaling the centers, x0 and c by 2^j scales every length by 2^j
+    # exactly while the doubles stay normal: iterates and gradient norms by
+    # 2^j, scores and the bound by 4^j; probabilities and flags keep.
+    steps = 120
+    base = _scaled_ledger(MIXTURE.centers, [0.5] * 10, 1.0, steps)
+    scaled = _scaled_ledger(np.ldexp(MIXTURE.centers, j), np.ldexp([0.5] * 10, j),
+                            np.ldexp(1.0, j), steps)
+    (traj, ledger), (traj_j, ledger_j) = base, scaled
+    assert ledger.passed
+    assert np.array_equal(traj_j.iterates, np.ldexp(traj.iterates, j))
+    assert np.array_equal(ledger_j.grad_norms, np.ldexp(ledger.grad_norms, j))
+    assert ledger_j.clip == np.ldexp(ledger.clip, j)
+    for column in ("lhs", "e_p", "e_p_tilde", "bias", "realized", "w_bound", "rhs_bound",
+                   "std_error", "mean_lhs", "mean_bias"):
+        got, want = getattr(ledger_j, column), np.ldexp(getattr(ledger, column), 2 * j)
+        assert np.array_equal(got, want), column
+    for column in ("prob_term", "z", "alpha", "theorem_ok", "corollary_ok", "wasserstein_ok"):
+        assert getattr(ledger_j, column) == getattr(ledger, column), column
+
+
+def _scaled_ledger(centers, x0, c, steps):
+    cfg = OptimizerConfig(alpha=1.0 / math.sqrt(steps), clip=c, steps=steps, x0=x0, batch=1)
+    traj = clipped_sgd(QuadraticProblem(centers), cfg)
+    return traj, descent_ledger(traj, wasserstein=True)
 
 
 def test_ledger_neither_symmetrizes_nor_calls_the_public_transport(monkeypatch):
