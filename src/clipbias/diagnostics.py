@@ -493,16 +493,18 @@ def _reflected_scores(V, emp, c, transport):
     is row-local too: OpenBLAS is on the shipped problems, but not on
     every shape (10-D clouds of 4097 atoms, for one).
 
-    The slices are scored on the pool of ``noise._pool()``: each of at
-    most one worker per core (``noise._workers()``) takes whole slices, one
-    at a time under a lock, from one shared iterator, through its own set
-    of the four buffers (all allocated here, before any is submitted:
-    buffers made on the workers would each grow a malloc arena), and
-    writes its slices' rows alone. The buffers, 2 MB a worker, grow with
-    the core count. The
-    product's right factor is a contiguous copy of ``atoms.T``: against
-    the transposed view, OpenBLAS's GEMMs on several threads at once ran
-    slower than the serial loop. Slices are cut as in one serial pass and
+    A ledger of more than one slice is scored on the pool of
+    ``noise._pool()``: each of at most one worker per core
+    (``noise._workers()``) takes whole slices, one at a time under a lock,
+    from one shared iterator, through its own set of the four buffers (all
+    allocated here, before any is submitted: buffers made on the workers
+    would each grow a malloc arena), and writes its slices' rows alone.
+    The buffers, 2 MB a worker, grow with the core count. A ledger of one
+    slice, or on one core, is scored on the calling thread: handing each
+    one-slice ledger of the 1-D audits to the pool made their times spread
+    wider from run to run. The product's right factor is a contiguous copy
+    of ``atoms.T``: against the transposed view, OpenBLAS's GEMMs on
+    several threads at once ran slower than the serial loop. Slices are cut as in one serial pass and
     each is computed alone, so no bit depends on the worker count. The
     transport column is NaN unless ``transport``.
     """
@@ -540,11 +542,14 @@ def _reflected_scores(V, emp, c, transport):
                 e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
                 e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
 
+    sets = [(np.empty((max(2, rows), N)),) + tuple(np.empty((rows, N)) for _ in range(3))
+            for _ in range(min(noise_mod._workers(), -(-T // rows)))]
+    if len(sets) == 1:
+        score(*sets[0])
+        return e_plus, e_minus, w_gap
     from concurrent.futures import wait
 
     pool = noise_mod._pool()
-    sets = [(np.empty((max(2, rows), N)),) + tuple(np.empty((rows, N)) for _ in range(3))
-            for _ in range(min(noise_mod._workers(), -(-T // rows)))]
     futures = [pool.submit(score, *buffers) for buffers in sets]
     wait(futures)
     for future in futures:

@@ -946,6 +946,19 @@ def test_ledger_pool_threads_call_no_public_function(monkeypatch):
     assert ledger.passed
 
 
+def test_ledger_of_one_slice_or_one_worker_stays_on_the_calling_thread(monkeypatch):
+    # example1's 3 atoms fit 10 000 steps into one slice; the mixture at
+    # 120 steps takes 20 slices, but one worker has no one to share them with
+    def no_pool():
+        raise AssertionError("the ledger handed work to the pool")
+
+    monkeypatch.setattr(noise, "_pool", no_pool)
+    assert descent_ledger(_ledger_run(make_example1(), [1.0], steps=10_000),
+                          wasserstein=True).passed
+    monkeypatch.setattr(noise, "_workers", lambda: 1)
+    assert descent_ledger(_ledger_run(MIXTURE, [0.0] * 10, steps=120), wasserstein=True).passed
+
+
 @pytest.mark.parametrize("j", [-200, 200])
 def test_ledger_scales_exactly_with_powers_of_two(j):
     # Scaling the centers, x0 and c by 2^j scales every length by 2^j
