@@ -11,10 +11,10 @@ an explicit bias integral b = E_p[s] - E_ptilde[s], and |b| is capped
 by a Wasserstein distance whose ground cost is |s(a) - s(b)|, which
 collapses to a 1-D transport problem on the score line.
 
-Empirical models are integrated exactly (finite weighted sums); Monte
-Carlo routes exist for continuous models and always travel with a
-standard error. Functions that promise an inequality check it
-internally and raise :class:`CheckFailure` when the data contradicts
+Routes read a model's arrays, never its class: models whose scales are
+all 0 are integrated exactly (finite weighted sums), the rest by Monte
+Carlo with a standard error. Functions that promise an inequality check
+it internally and raise :class:`CheckFailure` when the data contradicts
 it beyond 3 standard errors.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from ._files import write_csv
-from .noise import Empirical, IsotropicGaussian, SphericalMixture, prob_norm_below
+from .noise import IsotropicGaussian, SphericalMixture, prob_norm_below
 from .vectors import _check_threshold, as_vector, clip_batch, norm, row_norms
 
 __all__ = [
@@ -101,12 +101,12 @@ def _clip_shifted(v, noises, c):
 def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     """E[s(xi)] for xi ~ model, as ``(value, std_error)``.
 
-    Empirical models are summed exactly (std_error 0). Other models use
-    ``mc_samples`` Monte Carlo draws from ``stream``.
+    Models whose scales are all 0 are summed exactly (std_error 0). The
+    rest, or any with ``mc_samples``, use Monte Carlo draws from ``stream``.
     """
     v = as_vector(v)
-    if isinstance(model, Empirical) and not mc_samples:
-        scores = clip_scores(v, model.atoms, c)
+    if not (mc_samples or model.scales.any()):
+        scores = clip_scores(v, model.centers, c)
         return float(_weighted_sum(scores, model.weights)), 0.0
     return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c), v)
 
@@ -114,36 +114,34 @@ def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
 def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
     """E[clip(v + xi, c)] as ``(vector, std_error_vector)``."""
     v = as_vector(v)
-    if isinstance(model, Empirical) and not mc_samples:
-        return model.weights @ _clip_shifted(v, model.atoms, c), np.zeros(v.shape[0])
+    if not (mc_samples or model.scales.any()):
+        return model.weights @ _clip_shifted(v, model.centers, c), np.zeros(v.shape[0])
     return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c))
 
 
 def assert_symmetric(model):
     """Raise ValueError unless the model is symmetric about the origin.
 
-    Empirical models are checked atom by atom (every atom needs an
-    exactly negated partner of equal weight, duplicates merged first).
-    Mean-zero isotropic Gaussians are symmetric by construction.
+    Components are checked as ``[center, scale]`` rows, duplicates merged
+    first: every row needs its reflection (negated center, same scale) at
+    equal weight. A component at the origin is its own reflection.
     """
-    if isinstance(model, IsotropicGaussian):
-        return
-    if not isinstance(model, Empirical):
-        raise TypeError(f"cannot verify symmetry of {type(model).__name__}")
-    atoms, weights, _ = noise_mod._merge_atoms(model.atoms, model.weights)
-    n = atoms.shape[0]
-    # Merging the cloud with its negation at negated weights leaves
-    # w(a) - w(-a) on row a; a negation that is not an atom lands on a
+    rows = np.column_stack([model.centers, model.scales])
+    rows, weights, _ = noise_mod._merge_atoms(rows, model.weights)
+    n = rows.shape[0]
+    # Merging the rows with their reflections at negated weights leaves
+    # w(a) - w(-a) on row a; a reflection that is not a row lands on a
     # row past the first n.
+    reflected = np.column_stack([-rows[:, :-1], rows[:, -1]])
     _, gaps, inverse = noise_mod._merge_atoms(
-        np.concatenate([atoms, -atoms]), np.concatenate([weights, -weights])
+        np.concatenate([rows, reflected]), np.concatenate([weights, -weights])
     )
     bad = (inverse[n:] >= n) | (np.abs(gaps[:n]) > 1e-12)
     if np.any(bad):
-        atom = atoms[np.argmax(bad)]
+        row = rows[np.argmax(bad)]
         raise ValueError(
-            f"model is not symmetric about the origin: atom {atom.tolist()} "
-            "has no equally weighted negation"
+            f"model is not symmetric about the origin: component {row[:-1].tolist()} "
+            f"of scale {row[-1]} has no equally weighted reflection"
         )
 
 
@@ -217,15 +215,13 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
 def clipping_bias(v, p, q, c):
     """Exact bias integral of s against the signed measure p - q.
 
-    Both models must be empirical; the sum runs over the merged
-    support, so shared atoms cancel by weight difference.
+    Both models must be atom clouds (every scale 0); the sum runs over
+    the merged support, so shared atoms cancel by weight difference.
     """
     v = as_vector(v)
-    for emp in (p, q):
-        if not isinstance(emp, Empirical):
-            raise TypeError("clipping_bias needs empirical models")
+    _check_atoms(p, q)
     atoms, weights, _ = noise_mod._merge_atoms(
-        np.concatenate([p.atoms, q.atoms]), np.concatenate([p.weights, -q.weights])
+        np.concatenate([p.centers, q.centers]), np.concatenate([p.weights, -q.weights])
     )
     scores = clip_scores(v, atoms, c)
     return float(_weighted_sum(scores, weights))
@@ -236,14 +232,12 @@ def wasserstein_clip(v, c, p, q):
 
     The cost depends on noise vectors only through their scalar score,
     so this is the exact 1-D transport distance between the pushforward
-    score distributions, solved by the merged-CDF rule.
+    score distributions of two atom clouds, solved by the merged-CDF rule.
     """
     v = as_vector(v)
-    for emp in (p, q):
-        if not isinstance(emp, Empirical):
-            raise TypeError("wasserstein_clip needs empirical models")
-    scores_p = clip_scores(v, p.atoms, c)
-    scores_q = clip_scores(v, q.atoms, c)
+    _check_atoms(p, q)
+    scores_p = clip_scores(v, p.centers, c)
+    scores_q = clip_scores(v, q.centers, c)
     return float(_transport_rows(scores_p[None, :], p.weights, scores_q[None, :], q.weights)[0])
 
 
@@ -321,8 +315,8 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     """E[s] under noise xi + k*zeta next to the perturbation lower bound
     ||v|| * min(||v||, (1-z)c) * P(||k*zeta|| < z*c).
 
-    For 1-D empirical noise the estimate is exact via the censored
-    normal mean; otherwise Monte Carlo draws are used.
+    For 1-D noise whose scales are all 0 the estimate is exact via the
+    censored normal mean; otherwise, or with ``mc_samples``, it is Monte Carlo.
     """
     v = as_vector(v)
     _check_z(z)
@@ -333,9 +327,9 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     _check_dims(v, model.dim)
     prob = prob_norm_below(IsotropicGaussian(k, dim), z * c)[0]
     lower = descent_function(norm(v), c, z) * prob
-    if isinstance(model, Empirical) and dim == 1 and not mc_samples:
+    if dim == 1 and not (mc_samples or model.scales.any()):
         vs = float(v[0])
-        means = censored_normal_clip_mean(vs + model.atoms[:, 0], k, c)
+        means = censored_normal_clip_mean(vs + model.centers[:, 0], k, c)
         est = vs * float(_weighted_sum(means, model.weights))
         return GapReport(estimate=est, std_error=0.0, lower_bound=lower)
     est, se = expected_clipped_inner(
@@ -590,6 +584,11 @@ def _score_block(v2, A, a2, c, sign, n2, out):
     np.multiply(out, n2, out=out)
     if at_origin is not None:
         out[at_origin] = 0.0
+
+
+def _check_atoms(*models):
+    if any(model.scales.any() for model in models):
+        raise ValueError("this route is exact for atom clouds only: a scale is positive")
 
 
 def _check_dims(v, dim):

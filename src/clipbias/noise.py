@@ -71,9 +71,9 @@ _FILL_DOUBLES = 1 << 17
 # never holds more than one block's uniforms.
 _RING = 8
 
-# Monte Carlo sums are taken scaled by a power of two once a block holds
-# a value this large, so that the values and their squares stay finite.
-_SQUARE_LIMIT = 2.0 ** 500
+# Monte Carlo sums are taken scaled by a power of two once a block's largest
+# value leaves [2^-500, 2^500), so that the values and their squares stay normal.
+_SQUARE_EXP = 500
 
 _POOL = None  # the worker pool, made on first use by _pool()
 
@@ -195,10 +195,10 @@ class SphericalMixture(_Model):
     """
 
     def __init__(self, weights, centers, scales):
-        centers = np.asarray(centers, dtype=np.float64)
+        centers = np.ascontiguousarray(centers, dtype=np.float64)
         if centers.ndim == 1:
             centers = centers[:, None]
-        if centers.ndim != 2 or centers.shape[0] < 1:
+        if centers.ndim != 2 or min(centers.shape) < 1:
             raise ValueError(f"need a non-empty (n, dim) array of centers, got {centers.shape}")
         weights = np.asarray(weights, dtype=np.float64)
         scales = np.asarray(scales, dtype=np.float64)
@@ -283,12 +283,7 @@ class IsotropicGaussian(SphericalMixture):
     the origin."""
 
     def __init__(self, scale, dim):
-        scale = float(scale)
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        super().__init__(np.ones(1), np.zeros((1, dim)), np.array([scale]))
-        self.scale = scale
+        super().__init__(np.ones(1), np.zeros((1, int(dim))), np.array([float(scale)]))
 
 
 def perturb(model, k):
@@ -308,24 +303,25 @@ def perturb(model, k):
 def symmetrize(model):
     """Reflect a model through the origin and average: (p + p^-) / 2.
 
-    Empirical models get exact atom merging: an atom and its exact
-    negation share one entry whose weight is the sum of halves, in
-    first-encounter order. Applying symmetrize twice returns an equal
-    model. Mean-zero isotropic Gaussians are already symmetric and are
-    returned unchanged.
+    A reflection negates each center and keeps its scale. Components merge
+    exactly: equal ``[center, scale]`` rows share one entry whose weight is
+    the sum of halves, in first-encounter order, so applying symmetrize
+    twice returns an equal model. When every scale is 0 the result is an
+    :class:`Empirical`.
     """
-    if isinstance(model, IsotropicGaussian):
-        return model
-    if not isinstance(model, Empirical):
-        raise TypeError(f"symmetrize supports Empirical models, got {type(model).__name__}")
-    # each atom directly followed by its negation, each at half weight
-    both = np.stack([model.atoms, -model.atoms], axis=1).reshape(-1, model.dim)
-    atoms, weights, _ = _merge_atoms(both, np.repeat(model.weights / 2.0, 2))
-    return Empirical(atoms, weights)
+    # each component directly followed by its reflection, each at half weight
+    both = np.empty((2 * len(model.weights), model.dim + 1))
+    both[0::2, :-1] = model.centers
+    np.negative(model.centers, out=both[1::2, :-1])
+    both[:, -1] = np.repeat(model.scales, 2)
+    rows, weights, _ = _merge_atoms(both, np.repeat(model.weights / 2.0, 2))
+    if rows[:, -1].any():
+        return SphericalMixture(weights, rows[:, :-1], rows[:, -1])
+    return Empirical(rows[:, :-1], weights)
 
 
 def _merge_atoms(atoms, weights):
-    """Merge exactly equal rows of an atom cloud.
+    """Merge exactly equal rows of an atom cloud or of ``[center, scale]``.
 
     Returns ``(merged_atoms, merged_weights, inverse)``: distinct rows in
     first-encounter order, each with the sum of its weights taken in
@@ -434,10 +430,13 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
             if not ends_block:
                 continue
             values = mapped[:lo + n]
-            top = np.ldexp(max(values.max(), -values.min()), -power)
-            if top >= _SQUARE_LIMIT:
-                # powers of two scale exactly, so the running sums keep their bits
-                grow = int(np.frexp(top)[1])
+            top = max(values.max(), -values.min())
+            grow = int(np.frexp(top)[1]) - power  # scaled, top is below 2^grow
+            # powers of two scale exactly, so the running sums keep their bits;
+            # sums are scaled up only while empty, lest a square overflow
+            if 0.0 < top < np.inf and not -_SQUARE_EXP < grow <= _SQUARE_EXP and (
+                grow > 0 or not np.any(total_sq)
+            ):
                 total = np.ldexp(total, -grow)
                 total_sq = np.ldexp(total_sq, -2 * grow)
                 power += grow

@@ -385,16 +385,15 @@ def test_monte_carlo_std_error_of_huge_scores(monkeypatch):
     assert report.estimate == pytest.approx(1e200, rel=1e-15)
     assert 0.0 <= report.std_error < np.inf
     # Squares are summed scaled by a power of two, which is exact: scaling
-    # every value by 2^600 scales the mean and the std error by exactly that.
+    # every value by 2^j scales the mean and the std error by exactly that.
+    # At j = 1000 the values themselves are summed under the scale, and at
+    # j = -600 and -900 the squares would underflow to a std error of 0.0.
     model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
     plain = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: x)
-    huge = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: np.ldexp(x, 600))
-    for got, want in zip(huge, plain):
-        np.testing.assert_array_equal(got, np.ldexp(want, 600))
-    # the values themselves are summed under the same scale
-    huge = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: np.ldexp(x, 1000))
-    for got, want in zip(huge, plain):
-        np.testing.assert_array_equal(got, np.ldexp(want, 1000))
+    for j in (600, 1000, -600, -900):
+        scaled = noise._mc_moments(model, SeededStream(4, 0), 2000, lambda x: np.ldexp(x, j))
+        for got, want in zip(scaled, plain):
+            np.testing.assert_array_equal(got, np.ldexp(want, j))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = perturbation_gap(
@@ -414,6 +413,16 @@ def test_monte_carlo_std_error_of_huge_scores(monkeypatch):
     assert np.ldexp(mean[0], -600) == pytest.approx(shrunk.mean(), rel=1e-12)
     want = shrunk.std(ddof=1) / math.sqrt(draws.shape[0])
     assert np.ldexp(se[0], -600) == pytest.approx(want, rel=1e-12)
+    # A first block whose values cancel to a total of 0.0, then blocks of
+    # values near 2^-600: scaling the sums up then would overflow the squares.
+    monkeypatch.setattr(noise, "_CHUNK_DOUBLES", 16)  # 8 draws of a 1-D atom cloud
+    values = np.concatenate([[1.0, -1.0] * 4, np.full(24, 2.0**-600)])
+    stream = iter(values)
+    mean, se = noise._mc_moments(
+        Empirical([[0.0]]), SeededStream(0, 0), 32, lambda x: np.fromiter(stream, float, len(x))
+    )
+    assert mean == pytest.approx(values.mean(), rel=1e-12)
+    assert se == pytest.approx(values.std(ddof=1) / math.sqrt(32), rel=1e-12)
 
 
 def test_expected_inner_monotone_in_gradient_norm():
@@ -465,6 +474,92 @@ def test_symmetric_bound_branches():
 def test_symmetric_bound_rejects_asymmetric_model():
     with pytest.raises(ValueError):
         symmetric_lower_bound([1.0], RES1, 1.0)
+
+
+def _bits(value):
+    """The bytes of a route's result, for bit-for-bit comparison."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, noise.SphericalMixture):
+        return (type(value), _bits((value.weights, value.centers, value.scales)))
+    if isinstance(value, tuple):
+        return tuple(_bits(part) for part in value)
+    return np.asarray(value).tobytes()
+
+
+def _outcome(route, *args, **kwargs):
+    try:
+        return _bits(route(*args, **kwargs))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("atoms,weights", [
+    ([[1.0], [-3.0]], [0.5, 0.5]),
+    (RES1.atoms, RES1.weights),
+    ([[0.5], [-0.0], [-0.5], [0.0]], [0.25, 0.125, 0.25, 0.375]),
+    ([[1.0, -0.0], [0.0, 2.0], [1.0, 0.0], [-1.0, 0.0]], [0.1, 0.2, 0.3, 0.4]),
+    (np.linspace(-2.0, 3.0, 15).reshape(5, 3), [0.3, 0.1, 0.2, 0.25, 0.15]),
+])
+def test_routes_read_the_arrays_not_the_class(atoms, weights):
+    """An atom cloud and the scale-0 mixture with its arrays take the same
+    route on every public function, to the bit."""
+    emp = Empirical(atoms, weights)
+    mix = SphericalMixture(emp.weights, emp.centers, np.zeros(emp.centers.shape[0]))
+    assert type(mix) is SphericalMixture
+    dim = emp.dim
+    v = np.linspace(0.4, 1.1, dim)
+    mc = {} if dim == 1 else {"stream": SeededStream(3, 0), "mc_samples": 500}
+    routes = [
+        (expected_clipped_inner, lambda m: (v, m, 0.8), {}),
+        (expected_clipped_gradient, lambda m: (v, m, 0.8), {}),
+        (clipping_bias, lambda m: (v, m, symmetrize(m), 0.8), {}),
+        (clipping_bias, lambda m: (v, symmetrize(m), m, 0.8), {}),
+        (wasserstein_clip, lambda m: (v, 0.8, m, symmetrize(m)), {}),
+        (perturbation_gap, lambda m: (v, m, 0.8, 1.5), mc),
+        (symmetrize, lambda m: (m,), {}),
+        (diagnostics.assert_symmetric, lambda m: (m,), {}),
+        (diagnostics.assert_symmetric, lambda m: (symmetrize(m),), {}),
+        (prob_norm_below, lambda m: (m, 1.3), {}),
+    ]
+    for route, args, kwargs in routes:
+        assert _outcome(route, *args(emp), **kwargs) == _outcome(route, *args(mix), **kwargs)
+    # the exact routes were taken: no Monte Carlo error
+    assert expected_clipped_inner(v, mix, 0.8)[1] == 0.0
+    assert not expected_clipped_gradient(v, mix, 0.8)[1].any()
+
+
+def _clouds():
+    """Atom clouds in 1 to 3 dimensions on a coarse grid, so that exact
+    duplicates, exact negations and -0.0 components are common."""
+    grid = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    return st.integers(1, 3).flatmap(lambda dim: st.lists(
+        st.tuples(st.lists(grid, min_size=dim, max_size=dim), st.integers(1, 4)),
+        min_size=1, max_size=6,
+    ))
+
+
+@given(cloud=_clouds(), k=st.floats(1e-3, 100.0))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_smoothing_commutes_with_symmetrization(cloud, k):
+    atoms = [atom for atom, _ in cloud]
+    counts = np.array([count for _, count in cloud], dtype=np.float64)
+    p = Empirical(atoms, counts / counts.sum())
+    smoothed = perturb(symmetrize(p), k)
+    got = symmetrize(perturb(p, k))
+    for name in ("weights", "centers", "scales"):
+        assert getattr(got, name).tobytes() == getattr(smoothed, name).tobytes(), name
+    # the smoothed symmetric cloud passes the symmetry check and its bound
+    v = np.linspace(0.5, 1.0, p.dim)
+    symmetric_lower_bound(v, smoothed, 1.0, stream=SeededStream(5, 0), mc_samples=2000)
+    # smoothing keeps an asymmetric cloud asymmetric
+    try:
+        diagnostics.assert_symmetric(p)
+    except ValueError:
+        with pytest.raises(ValueError, match="not symmetric"):
+            diagnostics.assert_symmetric(perturb(p, k))
+    else:
+        diagnostics.assert_symmetric(perturb(p, k))
 
 
 def test_symmetric_bound_dominance_exact():

@@ -98,6 +98,10 @@ def test_empirical_validation():
         Empirical([[np.inf]])
     with pytest.raises(ValueError):
         SphericalMixture([np.nan, 1.0], [[0.0], [1.0]], [1.0, 1.0])
+    # every model needs at least one dimension
+    for make in (lambda: Empirical(np.zeros((2, 0))), lambda: IsotropicGaussian(1.0, 0)):
+        with pytest.raises(ValueError, match="non-empty"):
+            make()
 
 
 def test_empirical_mean():
@@ -153,10 +157,19 @@ def test_symmetrize_idempotent_and_exact():
 
 
 def test_symmetrize_gaussian_passthrough():
+    # a component at the origin is its own reflection
     g = IsotropicGaussian(1.0, dim=2)
-    assert symmetrize(g) is g
-    with pytest.raises(TypeError):
-        symmetrize(SphericalMixture([1.0], [[0.0]], [1.0]))
+    for model in (g, SphericalMixture([1.0], [[0.0]], [1.0])):
+        sym = symmetrize(model)
+        for name in ("weights", "centers", "scales"):
+            assert np.array_equal(getattr(sym, name), getattr(model, name)), name
+    # a shifted component reflects its center and keeps its scale
+    sym = symmetrize(SphericalMixture([0.25, 0.75], [[1.0, 0.0], [-0.0, 0.0]], [1.0, 2.0]))
+    assert type(sym) is SphericalMixture
+    assert sym.centers.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]
+    assert not np.any(np.signbit(sym.centers[sym.centers == 0.0]))
+    assert sym.weights.tolist() == [0.125, 0.125, 0.75]
+    assert sym.scales.tolist() == [1.0, 1.0, 2.0]
 
 
 def test_perturb_flattens_and_zero_k_is_identity():
