@@ -345,14 +345,15 @@ class BiasLedger:
     Aggregates compare mean(lhs) + mean(bias) against the step-size
     bound gap/sqrt(T) + G*c^2/(2*sqrt(T)), padding sampled terms by 3
     standard errors of the realized-vs-expected deviations.
+
+    The ledger keeps the columns the audit computed; ``steps``, ``lhs``
+    and ``bias`` are worked out from them on each access, with the same
+    bits each time.
     """
 
-    steps: np.ndarray
     grad_norms: np.ndarray
-    lhs: np.ndarray
     e_p: np.ndarray
     e_p_tilde: np.ndarray
-    bias: np.ndarray
     realized: np.ndarray
     w_bound: np.ndarray
     prob_term: float
@@ -366,6 +367,18 @@ class BiasLedger:
     theorem_ok: bool
     corollary_ok: bool
     wasserstein_ok: bool
+
+    @property
+    def steps(self):
+        return np.arange(self.grad_norms.shape[0])
+
+    @property
+    def lhs(self):
+        return self.prob_term * descent_function(self.grad_norms, self.clip, self.z)
+
+    @property
+    def bias(self):
+        return self.e_p - self.e_p_tilde
 
     @property
     def passed(self):
@@ -446,12 +459,9 @@ def descent_ledger(trajectory, z=0.25, wasserstein=None):
     theorem_ok = bool(float(np.mean(realized)) <= rhs + 1e-9)
     corollary_ok = bool(mean_lhs + mean_bias <= rhs + 3.0 * se + 1e-9)
     return BiasLedger(
-        steps=np.arange(T),
         grad_norms=grad_norms,
-        lhs=lhs,
         e_p=e_p,
         e_p_tilde=e_pt,
-        bias=bias,
         realized=realized,
         w_bound=w_bound,
         prob_term=float(prob),

@@ -19,7 +19,7 @@ rejection-sampled integers, keeping draw i a pure function of the
 stream position (the modulo bias is ~n * 2^-53).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,9 +88,11 @@ class Trajectory:
     """Record of one optimizer run.
 
     ``iterates`` holds x_0..x_T; ``clipped_means`` holds the realized
-    clipped gradient means g_1..g_T (additive noise excluded);
-    ``gradients``/``values`` hold the true gradient and objective at
-    every iterate; ``distances`` is distance to the optimum.
+    clipped gradient means g_1..g_T (additive noise excluded). Those two
+    are all a run keeps: ``gradients``/``values`` (the true gradient and
+    objective at every iterate) and ``distances`` (distance to the
+    optimum) are worked out from the iterates by
+    ``problem.closed_forms`` on each access, with the same bits each time.
     """
 
     problem: object
@@ -98,13 +100,22 @@ class Trajectory:
     sigma: float
     iterates: np.ndarray
     clipped_means: np.ndarray
-    gradients: np.ndarray = field(repr=False, default=None)
-    values: np.ndarray = field(repr=False, default=None)
-    distances: np.ndarray = field(repr=False, default=None)
 
     @property
     def steps(self):
         return self.clipped_means.shape[0]
+
+    @property
+    def gradients(self):
+        return self.problem.closed_forms(self.iterates)[0]
+
+    @property
+    def values(self):
+        return self.problem.closed_forms(self.iterates)[1]
+
+    @property
+    def distances(self):
+        return self.problem.closed_forms(self.iterates)[2]
 
     def final_distance(self):
         return float(self.distances[-1])
@@ -112,12 +123,13 @@ class Trajectory:
     def to_csv(self, path):
         """One row per iterate; the clipped-mean column on row t is the
         mean applied when leaving x_t (blank on the final row)."""
+        gradients, values, distances = self.problem.closed_forms(self.iterates)
         write_csv(path, ["step", "f", "grad_norm", "clipped_mean_norm", "distance_to_opt"], [
             np.arange(self.steps + 1),
-            self.values,
-            np.linalg.norm(self.gradients, axis=1),
+            values,
+            np.linalg.norm(gradients, axis=1),
             np.append(np.linalg.norm(self.clipped_means, axis=1), np.nan),
-            self.distances,
+            distances,
         ])
 
 
@@ -203,10 +215,9 @@ def _recorded_runs(problem, config, sigma, k, seeds):
     _, xs, gms = _engine(problem, config, sigma, k, seeds, record=True)
     runs = []
     for r, seed in enumerate(seeds):
-        x = np.ascontiguousarray(xs[:, r])
         runs.append(Trajectory(
-            problem, replace(config, seed=seed), sigma, x, np.ascontiguousarray(gms[:, r]),
-            *problem.closed_forms(x),
+            problem, replace(config, seed=seed), sigma,
+            np.ascontiguousarray(xs[:, r]), np.ascontiguousarray(gms[:, r]),
         ))
     return runs
 

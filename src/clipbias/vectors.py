@@ -9,6 +9,12 @@ The clip operator enforces two exact guarantees that plain
 ``norm(clip(g, c)) <= c`` holds exactly, and clipping is exactly
 idempotent. Rescaled rows whose recomputed norm still exceeds ``c`` by
 a few ulps are nudged down until the cap holds.
+
+``clip_batch`` clips a batch whose norms are all in range in one pass
+(one einsum, one multiply, then the nudge loop). Norms past 1.3e154 or
+under 2^-511, a ``c`` near 2^-511 or not finite, wide or strided rows and
+non-finite rows take a guarded route, which raises on bad input. Both
+routes give the same bits and share one nudge loop.
 """
 
 import numpy as np
@@ -37,9 +43,7 @@ def row_norms(rows):
     alternatives can disagree with it in the last ulp.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    # _row_dots, with its narrow case inlined: this is the hottest call
-    narrow = rows.shape[1] <= 8192
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows) if narrow else _row_dots(rows, rows))
+    norms = _einsum_norms(rows) if rows.shape[1] <= 8192 else np.sqrt(_row_dots(rows, rows))
     # A norm above ~1.3e154 overflows in the squares, and one below 2^-511
     # loses bits to their underflow. The maximum finds the inf and NaN
     # norms and the minimum the small ones; a dot product of the norms
@@ -119,8 +123,40 @@ def clip(g, c):
 
 
 def clip_batch(rows, c):
-    """Clip each row of a 2-D array to l2 norm at most ``c``."""
+    """Clip each row of a 2-D array to l2 norm at most ``c``.
+
+    One pass serves every batch whose norms ``row_norms`` would take from
+    its einsum unchanged: rows of at most 8192 contiguous columns (the
+    einsum's bits depend on that layout) and every norm in
+    ``[2^-511, inf)``. With ``c`` at least ``2^-510`` a rescaled row keeps
+    a norm that ``row_norms`` would not redo either, and ``c / norm`` stays
+    a normal double (a finite einsum norm is below ``2^512``), so no
+    quotient underflows. Every row is multiplied by ``c / max(norm, c)``,
+    which is exactly 1.0 for a row at or under ``c``. Any other batch, or
+    a non-finite row or ``c``, takes the guarded route
+    (``_guarded_clip``); both give the same bits.
+    """
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[1] <= 8192 and rows.strides[1] == 8 and 2.0 * _NORM_FLOOR <= c < np.inf:
+        norms = _einsum_norms(rows)
+        top = np.maximum.reduce(norms, initial=0.0)
+        if top < np.inf and np.minimum.reduce(norms, initial=np.inf) >= _NORM_FLOOR:
+            if top <= c:
+                return rows.copy()  # no row is over c
+            return _nudge(rows * (c / np.maximum(norms, c))[:, None], c, _einsum_norms)
+    return _guarded_clip(rows, c)
+
+
+def _einsum_norms(rows):
+    """Norms of rows of at most 8192 columns by one einsum: ``row_norms``
+    where every norm lies in ``[2^-511, inf)``."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _guarded_clip(rows, c):
+    """``clip_batch`` of any batch: validates ``c`` and the rows, and
+    rescales a row whose ``c / norm`` underflows from an exact power-of-two
+    copy."""
     norms = row_norms(rows)
     # A finite norm needs finite components, so the rows are scanned only
     # when some norm is not finite; that is cheaper than scanning them.
@@ -142,21 +178,29 @@ def clip_batch(rows, c):
         scaled = np.ldexp(rows[idx], -exp[:, None])
         out[idx] = scaled
         scale[lost] = c / row_norms(scaled)
-    out[over] *= scale[:, None]
-    # Rounding can leave a rescaled norm a few ulps above c. Pull those
-    # rows back down so the norm cap is exact, which also makes the
-    # operator exactly idempotent (a second pass changes nothing).
+    out[over] = _nudge(out[over] * scale[:, None], c, row_norms)
+    return out
+
+
+def _nudge(out, c, norms_of):
+    """Pull the rows of ``out`` whose norm (by ``norms_of``) still exceeds
+    ``c`` after a rescale back under it, in place, and return ``out``.
+
+    Rounding can leave a rescaled norm a few ulps above c. Each round
+    multiplies every row by ``c / max(norm, c)``, exactly 1.0 for a row at
+    or under ``c``; rows still over after four rounds step towards zero one
+    ulp at a time. So the norm cap is exact, and the operator is exactly
+    idempotent (a second pass changes nothing).
+    """
     for _ in range(4):
-        new_norms = row_norms(out[over])
-        still = new_norms > c
-        if not np.count_nonzero(still):
+        norms = norms_of(out)
+        if not np.maximum.reduce(norms, initial=0.0) > c:
             return out
-        rows_idx = np.flatnonzero(over)[still]
-        out[rows_idx] *= (c / new_norms[still])[:, None]
-    bad = row_norms(out) > c
+        out *= (c / np.maximum(norms, c))[:, None]
+    bad = norms_of(out) > c
     while bad.any():
         out[bad] = np.nextafter(out[bad], 0.0)
-        bad = row_norms(out) > c
+        bad = norms_of(out) > c
     return out
 
 

@@ -2,15 +2,19 @@
 
 Everything here is deliberately written against a different code path than
 the package: plain math/erf for the normal CDF, adaptive quadrature for the
-censored mean, a linear-program transport solver, and pure-Python fsum
-enumeration for expected clipped inner products.  Tests compare package
-output against these, never against the package itself.
+censored mean, a linear-program transport solver, pure-Python fsum
+enumeration for expected clipped inner products, and the clip operator's
+guarded form (boolean gathers over ``row_norms``) for its one-pass route.
+Tests compare package output against these, never against the package
+itself.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, optimize, special, stats
+
+from clipbias.vectors import _check_threshold, row_norms
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -73,6 +77,45 @@ def mixture_draws(generator, count, weights, centers, scales):
         return centers[idx]
     normals = special.ndtri(np.maximum(u[:, 1:], 2.0 ** -54))
     return normals * scales[idx][:, None] + centers[idx]
+
+
+def clip_batch_guarded(rows, c):
+    """The clip operator as it was before its one-pass route: every batch
+    goes through ``row_norms``, boolean gathers and its own nudge loop.
+
+    It shares only ``row_norms``, the package's canonical norm, with
+    ``vectors.clip_batch``, which must give the same bits on every batch.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = row_norms(rows)
+    if np.count_nonzero(np.isfinite(norms)) < norms.shape[0] and not np.isfinite(rows).all():
+        raise ValueError("input has non-finite components")
+    _check_threshold(c)
+    over = norms > c
+    if not np.count_nonzero(over):
+        return rows.copy()
+    out = rows.copy()
+    scale = c / norms[over]
+    if np.count_nonzero(scale) < scale.shape[0]:
+        lost = scale == 0.0
+        idx = np.flatnonzero(over)[lost]
+        _, exp = np.frexp(np.abs(rows[idx]).max(axis=1))
+        scaled = np.ldexp(rows[idx], -exp[:, None])
+        out[idx] = scaled
+        scale[lost] = c / row_norms(scaled)
+    out[over] *= scale[:, None]
+    for _ in range(4):
+        new_norms = row_norms(out[over])
+        still = new_norms > c
+        if not np.count_nonzero(still):
+            return out
+        rows_idx = np.flatnonzero(over)[still]
+        out[rows_idx] *= (c / new_norms[still])[:, None]
+    bad = row_norms(out) > c
+    while bad.any():
+        out[bad] = np.nextafter(out[bad], 0.0)
+        bad = row_norms(out) > c
+    return out
 
 
 def expected_clipped_inner_enum(v, atoms, weights, c):

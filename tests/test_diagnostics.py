@@ -887,9 +887,7 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
     iterates = run.iterates.copy()
     iterates[3 * 8 + 6] = -p.atoms[5]  # v = -a exactly, in the fourth slice
     assert CLOUD3.optimum.tolist() == [0.0, 0.0, 0.0]  # so gradients are the iterates
-    traj = Trajectory(
-        CLOUD3, run.config, 0.0, iterates, run.clipped_means, *CLOUD3.closed_forms(iterates)
-    )
+    traj = Trajectory(CLOUD3, run.config, 0.0, iterates, run.clipped_means)
     score_block = diagnostics._score_block
     sliced_rows = []
 

@@ -1,12 +1,18 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipbias import vectors
+from clipbias.diagnostics import descent_ledger, expected_clipped_inner
+from clipbias.noise import Empirical, SeededStream, perturb
+from clipbias.optimizers import OptimizerConfig, clipped_sgd, final_iterates
+from clipbias.problems import make_example1, make_synthetic_mixture
+from oracles import clip_batch_guarded
 
 
 def test_clip_zero_vector_untouched():
@@ -176,6 +182,91 @@ def test_clip_preserves_direction_and_lands_near_boundary():
     assert np.all(cos > 1.0 - 1e-12)
     # clipped rows sit on the boundary up to rounding
     assert np.all(np.abs(vectors.row_norms(out[over]) - 1.0) < 1e-12)
+
+
+def _batch(rng, kinds, dim, c):
+    """One row per kind: Gaussian rows spread around c (10-D ones often need
+    the nudge), a row exactly at c, +-0.0 rows, norms past 1.3e154 or under
+    2^-511, and a non-finite row."""
+    rows = rng.normal(size=(len(kinds), dim))
+    for row, kind in zip(rows, kinds):
+        if kind == "around_c":
+            row *= c * 10.0 ** rng.uniform(-2.0, 2.0)
+        elif kind == "at_c":
+            row[:] = 0.0
+            row[rng.integers(dim)] = rng.choice([-c, c])
+        elif kind in ("zero", "negative_zero"):
+            row[:] = 0.0 if kind == "zero" else -0.0
+        elif kind == "huge":
+            row *= 1e160
+        elif kind == "past_the_doubles":
+            row[:] = 1e308
+        elif kind == "tiny":
+            row *= 1e-160
+        elif kind == "non_finite":
+            row[rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+    return rows
+
+
+_IN_RANGE = ["around_c", "at_c"]
+_OUT_OF_RANGE = ["zero", "negative_zero", "huge", "past_the_doubles", "tiny", "non_finite"]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 10, 10, 8192, 8193]),
+    c=st.sampled_from([2.0**-510, 1.0, 7.5] * 2 + [2e-320, 2.0**-511, np.inf, np.nan]),
+    # half the batches hold in-range rows only, so every c and layout also
+    # meets batches whose norms alone would allow the one-pass route
+    kinds=st.one_of(st.lists(st.sampled_from(_IN_RANGE), min_size=1, max_size=12),
+                    st.lists(st.sampled_from(_IN_RANGE * 2 + _OUT_OF_RANGE),
+                             min_size=1, max_size=12)),
+    layout=st.sampled_from(["C", "F", "column view"]),
+)
+# at c = 2^-511 the squares of 8192 rescaled columns underflow, so the
+# einsum and row_norms disagree on the rescaled norms
+@example(seed=0, dim=8192, c=2.0**-511, kinds=["around_c"] * 4, layout="C")
+# a row past the doubles clipped to a subnormal c ends in the nextafter steps
+@example(seed=0, dim=8193, c=2e-320, kinds=["past_the_doubles"], layout="C")
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_clip_batch_matches_the_guarded_oracle(seed, dim, c, kinds, layout):
+    rows = _batch(np.random.default_rng(seed), kinds, dim, c)
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+    elif layout == "column view":  # rows inside a wider array, as the Monte Carlo passes them
+        rows = np.hstack([np.ones((len(kinds), 1)), rows])[:, 1:]
+    try:
+        want = clip_batch_guarded(rows, c)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            vectors.clip_batch(rows, c)
+        return
+    got = vectors.clip_batch(rows, c)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # np.array_equal, and the sign of every zero
+
+
+def test_shipped_shapes_take_the_one_pass_clip(monkeypatch):
+    # Every norm of these runs is in range, so none may reach the guarded
+    # route, not even a batch whose rescaled rows need the nudge (the 10-D
+    # mixture ensemble has such rows on every step).
+    def guarded(rows, c):
+        raise AssertionError("clip_batch took the guarded route")
+
+    monkeypatch.setattr(vectors, "_guarded_clip", guarded)
+    example1 = make_example1()
+    batch1 = OptimizerConfig(alpha=0.02, clip=1.0, steps=2500, x0=[1.0], batch=1, seed=3)
+    assert descent_ledger(clipped_sgd(example1, batch1), wasserstein=True).passed
+    ensemble = OptimizerConfig(alpha=0.001, clip=1.0, steps=200, x0=[1.0], sigma=1.0, k=10.0)
+    final_iterates(example1, ensemble, range(10))
+    mixture = make_synthetic_mixture(seed=1)
+    subsampled = OptimizerConfig(alpha=0.015, clip=1.0, steps=50, x0=[0.0] * mixture.dim,
+                                 batch=16, sigma=0.5, k=1.0)
+    final_iterates(mixture, subsampled, range(50))
+    v = np.zeros(1000)
+    v[0] = 10.0
+    expected_clipped_inner(v, perturb(Empirical(np.zeros((1, 1000))), 10.0), 1.0,
+                           stream=SeededStream(1, 0), mc_samples=500)
 
 
 @given(
