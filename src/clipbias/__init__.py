@@ -7,7 +7,6 @@ from .diagnostics import (
     BiasLedger,
     BoundReport,
     CheckFailure,
-    GapReport,
     censored_normal_clip_mean,
     clip_scores,
     clipping_bias,

@@ -31,7 +31,6 @@ from .vectors import _check_threshold, as_vector, clip_batch, norm, row_norms
 __all__ = [
     "CheckFailure",
     "BoundReport",
-    "GapReport",
     "BiasLedger",
     "clip_scores",
     "expected_clipped_inner",
@@ -63,19 +62,6 @@ class BoundReport:
 
     @property
     def margin(self):
-        return self.estimate - self.lower_bound
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Estimate of E[s] under perturbed noise next to its lower bound."""
-
-    estimate: float
-    std_error: float
-    lower_bound: float
-
-    @property
-    def gap(self):
         return self.estimate - self.lower_bound
 
 
@@ -331,11 +317,11 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
         vs = float(v[0])
         means = censored_normal_clip_mean(vs + model.centers[:, 0], k, c)
         est = vs * float(_weighted_sum(means, model.weights))
-        return GapReport(estimate=est, std_error=0.0, lower_bound=lower)
+        return BoundReport(estimate=est, std_error=0.0, lower_bound=lower, prob_term=prob, z=z)
     est, se = expected_clipped_inner(
         v, noise_mod.perturb(model, k), c, stream=stream, mc_samples=mc_samples
     )
-    return GapReport(estimate=est, std_error=se, lower_bound=lower)
+    return BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
 
 
 @dataclass

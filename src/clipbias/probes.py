@@ -80,7 +80,7 @@ def symmetry_score(points, bins=50, mode="origin"):
     edges = []
     for axis in range(2):
         combined = np.concatenate([points[:, axis], reflected[:, axis]])
-        edges.append(_axis_edges(combined, bins, None))
+        edges.append(_axis_edges(combined, bins))
     h_points, _, _ = np.histogram2d(points[:, 0], points[:, 1], bins=edges)
     h_reflect, _, _ = np.histogram2d(reflected[:, 0], reflected[:, 1], bins=edges)
     n = points.shape[0]
@@ -95,9 +95,9 @@ class Histogram:
     counts: np.ndarray
 
     @classmethod
-    def from_values(cls, values, bins=50, value_range=None):
+    def from_values(cls, values, bins=50):
         values = np.asarray(values, dtype=np.float64)
-        edges = _axis_edges(values, bins, value_range)
+        edges = _axis_edges(values, bins)
         counts, _ = np.histogram(values, bins=edges)
         return cls(edges=edges, counts=counts)
 
@@ -188,19 +188,14 @@ def _as_rows(points, dim):
     return points
 
 
-def _axis_edges(values, bins, value_range):
-    if value_range is not None:
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if not hi > lo:
-            raise ValueError(f"empty histogram range ({lo}, {hi})")
-    else:
-        lo = float(np.min(values))
-        hi = float(np.max(values))
-        if hi == lo:
-            # single-valued data still gets a well-formed (zero-width) bin layout
-            lo -= 0.5
-            hi += 0.5
-        margin = 0.05 * (hi - lo)
-        lo -= margin
-        hi += margin
+def _axis_edges(values, bins):
+    lo = float(np.min(values))
+    hi = float(np.max(values))
+    if hi == lo:
+        # single-valued data still gets a well-formed (zero-width) bin layout
+        lo -= 0.5
+        hi += 0.5
+    margin = 0.05 * (hi - lo)
+    lo -= margin
+    hi += margin
     return np.linspace(lo, hi, int(bins) + 1)

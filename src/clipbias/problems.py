@@ -90,13 +90,12 @@ class QuadraticProblem:
         sq = np.einsum("td,td->t", diffs, diffs)
         return diffs, 0.5 * sq + self.value(self.optimum), np.sqrt(sq)
 
-    def noise_residuals(self, x=None):
+    def noise_residuals(self):
         """Per-sample gradient noise as an empirical model.
 
         Residuals (per-sample gradient minus full gradient) equal
         ``mean(centers) - a_i`` for every query point in this family,
-        so they are computed from the centers alone and the optional
-        ``x`` is accepted only for interface symmetry.
+        so they are computed from the centers alone.
         """
         return Empirical(self.optimum - self.centers)
 

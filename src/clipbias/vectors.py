@@ -10,11 +10,12 @@ The clip operator enforces two exact guarantees that plain
 idempotent. Rescaled rows whose recomputed norm still exceeds ``c`` by
 a few ulps are nudged down until the cap holds.
 
-``clip_batch`` clips a batch whose norms are all in range in one pass
-(one einsum, one multiply, then the nudge loop). Norms past 1.3e154 or
-under 2^-511, a ``c`` near 2^-511 or not finite, wide or strided rows and
-non-finite rows take a guarded route, which raises on bad input. Both
-routes give the same bits and share one nudge loop.
+``clip_batch`` has one route for every batch: it makes the rows
+C-contiguous (the norms' bits depend on the layout), takes their
+canonical norms once, multiplies every row by ``c / max(norm, c)`` and
+runs the nudge loop. Only rows whose ``c / norm`` underflows are rescaled
+from an exact power-of-two copy first. Non-finite rows and a bad ``c``
+raise.
 """
 
 import numpy as np
@@ -42,16 +43,19 @@ def row_norms(rows):
     cap is enforced against this exact function, and BLAS-backed
     alternatives can disagree with it in the last ulp.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    return _norms(np.asarray(rows, dtype=np.float64))[0]
+
+
+def _norms(rows):
+    """``row_norms`` of a float64 array, and their maximum (0.0 for no
+    rows, NaN when a row holds a NaN)."""
     norms = _einsum_norms(rows) if rows.shape[1] <= 8192 else np.sqrt(_row_dots(rows, rows))
     # A norm above ~1.3e154 overflows in the squares, and one below 2^-511
     # loses bits to their underflow. The maximum finds the inf and NaN
     # norms and the minimum the small ones; a dot product of the norms
     # would warn where their squares sum past the largest double.
-    if not (
-        np.maximum.reduce(norms, initial=0.0) < np.inf
-        and np.minimum.reduce(norms, initial=np.inf) >= _NORM_FLOOR
-    ):
+    top = np.maximum.reduce(norms, initial=0.0)
+    if not (top < np.inf and np.minimum.reduce(norms, initial=np.inf) >= _NORM_FLOOR):
         # Redo the finite nonzero rows whose norm is inf or small scaled by
         # a power of two, which is exact: such a row's norm is its scaled
         # copy's norm times that power.
@@ -63,7 +67,8 @@ def row_norms(rows):
         scaled = np.ldexp(rows[redo], -exp[:, None])
         with np.errstate(over="ignore"):  # a norm beyond the doubles stays inf
             norms[redo] = np.ldexp(np.sqrt(_row_dots(scaled, scaled)), exp)
-    return norms
+        top = np.maximum.reduce(norms, initial=0.0)
+    return norms, top
 
 
 def _row_dots(rows, other):
@@ -117,34 +122,38 @@ def clip(g, c):
     (including the zero vector and the ``norm(g) == c`` boundary) is
     returned unchanged.
     """
-    g = as_vector(g)
-    _check_threshold(c)
-    return clip_batch(g[None, :], c)[0]
+    return clip_batch(as_vector(g)[None, :], c)[0]
 
 
 def clip_batch(rows, c):
     """Clip each row of a 2-D array to l2 norm at most ``c``.
 
-    One pass serves every batch whose norms ``row_norms`` would take from
-    its einsum unchanged: rows of at most 8192 contiguous columns (the
-    einsum's bits depend on that layout) and every norm in
-    ``[2^-511, inf)``. With ``c`` at least ``2^-510`` a rescaled row keeps
-    a norm that ``row_norms`` would not redo either, and ``c / norm`` stays
-    a normal double (a finite einsum norm is below ``2^512``), so no
-    quotient underflows. Every row is multiplied by ``c / max(norm, c)``,
-    which is exactly 1.0 for a row at or under ``c``. Any other batch, or
-    a non-finite row or ``c``, takes the guarded route
-    (``_guarded_clip``); both give the same bits.
+    The result is C-ordered, and so are the rows it is computed from: the
+    norms' bits depend on the layout, and a norm taken in another layout
+    than the returned rows' could break the cap. Every row is multiplied
+    by ``c / max(norm, c)``, which is exactly 1.0 for a row at or under
+    ``c``; a row whose quotient underflows to 0 is rescaled from a copy
+    scaled by a power of two, which is exact and keeps its direction.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[1] <= 8192 and rows.strides[1] == 8 and 2.0 * _NORM_FLOOR <= c < np.inf:
-        norms = _einsum_norms(rows)
-        top = np.maximum.reduce(norms, initial=0.0)
-        if top < np.inf and np.minimum.reduce(norms, initial=np.inf) >= _NORM_FLOOR:
-            if top <= c:
-                return rows.copy()  # no row is over c
-            return _nudge(rows * (c / np.maximum(norms, c))[:, None], c, _einsum_norms)
-    return _guarded_clip(rows, c)
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    norms, top = _norms(rows)
+    # A finite norm needs finite components, so the rows are scanned only
+    # when some norm is not finite; that is cheaper than scanning them.
+    if not top < np.inf and not np.isfinite(rows).all():
+        raise ValueError("input has non-finite components")
+    _check_threshold(c)
+    if top <= c:
+        return rows.copy()  # no row is over c
+    scale = c / np.maximum(norms, c)
+    out = rows * scale[:, None]
+    if c / top == 0.0:
+        # c / norm is 0 where the norm left the doubles or the quotient
+        # underflowed.
+        lost = np.flatnonzero(scale == 0.0)
+        _, exp = np.frexp(np.abs(rows[lost]).max(axis=1))
+        scaled = np.ldexp(rows[lost], -exp[:, None])
+        out[lost] = scaled * (c / row_norms(scaled))[:, None]
+    return _nudge(out, c)
 
 
 def _einsum_norms(rows):
@@ -153,45 +162,21 @@ def _einsum_norms(rows):
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def _guarded_clip(rows, c):
-    """``clip_batch`` of any batch: validates ``c`` and the rows, and
-    rescales a row whose ``c / norm`` underflows from an exact power-of-two
-    copy."""
-    norms = row_norms(rows)
-    # A finite norm needs finite components, so the rows are scanned only
-    # when some norm is not finite; that is cheaper than scanning them.
-    if np.count_nonzero(np.isfinite(norms)) < norms.shape[0] and not np.isfinite(rows).all():
-        raise ValueError("input has non-finite components")
-    _check_threshold(c)
-    over = norms > c
-    if not np.count_nonzero(over):
-        return rows.copy()
-    out = rows.copy()
-    scale = c / norms[over]
-    if np.count_nonzero(scale) < scale.shape[0]:
-        # c / norm is 0 where the norm left the doubles (or the quotient
-        # underflowed): rescale those rows from a copy scaled by a power
-        # of two, which is exact and keeps their direction.
-        lost = scale == 0.0
-        idx = np.flatnonzero(over)[lost]
-        _, exp = np.frexp(np.abs(rows[idx]).max(axis=1))
-        scaled = np.ldexp(rows[idx], -exp[:, None])
-        out[idx] = scaled
-        scale[lost] = c / row_norms(scaled)
-    out[over] = _nudge(out[over] * scale[:, None], c, row_norms)
-    return out
-
-
-def _nudge(out, c, norms_of):
-    """Pull the rows of ``out`` whose norm (by ``norms_of``) still exceeds
-    ``c`` after a rescale back under it, in place, and return ``out``.
+def _nudge(out, c):
+    """Pull the rows of ``out`` whose norm still exceeds ``c`` after a
+    rescale back under it, in place, and return ``out``.
 
     Rounding can leave a rescaled norm a few ulps above c. Each round
     multiplies every row by ``c / max(norm, c)``, exactly 1.0 for a row at
     or under ``c``; rows still over after four rounds step towards zero one
     ulp at a time. So the norm cap is exact, and the operator is exactly
-    idempotent (a second pass changes nothing).
+    idempotent (a second pass changes nothing). With ``c`` in
+    ``[2^-510, 2^511)`` and at most 8192 columns the einsum alone takes the
+    norms: it gives ``row_norms``'s bits for every row near ``c``, and a row
+    whose einsum norm is below ``2^-511`` is under ``c`` by either measure.
     """
+    in_band = 2.0 * _NORM_FLOOR <= c < 2.0 ** 511 and out.shape[1] <= 8192
+    norms_of = _einsum_norms if in_band else row_norms
     for _ in range(4):
         norms = norms_of(out)
         if not np.maximum.reduce(norms, initial=0.0) > c:

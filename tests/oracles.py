@@ -3,8 +3,8 @@
 Everything here is deliberately written against a different code path than
 the package: plain math/erf for the normal CDF, adaptive quadrature for the
 censored mean, a linear-program transport solver, pure-Python fsum
-enumeration for expected clipped inner products, and the clip operator's
-guarded form (boolean gathers over ``row_norms``) for its one-pass route.
+enumeration for expected clipped inner products, and the clip operator
+built from boolean gathers over ``row_norms`` with its own nudge loop.
 Tests compare package output against these, never against the package
 itself.
 """
@@ -80,13 +80,15 @@ def mixture_draws(generator, count, weights, centers, scales):
 
 
 def clip_batch_guarded(rows, c):
-    """The clip operator as it was before its one-pass route: every batch
-    goes through ``row_norms``, boolean gathers and its own nudge loop.
+    """The clip operator by boolean gathers: only the rows over ``c`` are
+    rescaled, through ``row_norms`` and a nudge loop of its own.
 
     It shares only ``row_norms``, the package's canonical norm, with
     ``vectors.clip_batch``, which must give the same bits on every batch.
+    Norms, like the result, are taken in C order: a norm's bits depend on
+    the layout.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     norms = row_norms(rows)
     if np.count_nonzero(np.isfinite(norms)) < norms.shape[0] and not np.isfinite(rows).all():
         raise ValueError("input has non-finite components")

@@ -278,7 +278,7 @@ def test_criterion_10_perturbation_restores_convergence():
     assert dist_fixed <= 0.5
 
     res = p.noise_residuals()
-    mags = [abs(perturbation_gap([0.1], res, 1.0, k).gap) for k in (2.0, 4.0, 8.0, 16.0)]
+    mags = [abs(perturbation_gap([0.1], res, 1.0, k).margin) for k in (2.0, 4.0, 8.0, 16.0)]
     assert all(b < a for a, b in zip(mags, mags[1:]))
     ratio_a = mags[1] / mags[2]
     ratio_b = mags[2] / mags[3]

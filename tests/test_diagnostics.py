@@ -737,7 +737,7 @@ def test_perturbation_gap_exact_matches_monte_carlo():
 def test_perturbation_gap_shrinks_with_k():
     # the skew-driven displacement between estimate and bound washes out as
     # the symmetric perturbation swamps the asymmetric noise
-    gaps = [perturbation_gap([0.1], RES1, 1.0, k).gap for k in (2.0, 4.0, 8.0, 16.0)]
+    gaps = [perturbation_gap([0.1], RES1, 1.0, k).margin for k in (2.0, 4.0, 8.0, 16.0)]
     mags = [abs(g) for g in gaps]
     assert all(b < a for a, b in zip(mags, mags[1:]))
     assert mags[1] / mags[2] >= 3.0
@@ -747,13 +747,13 @@ def test_perturbation_gap_shrinks_with_k():
 def test_perturbation_gap_point_mass_respects_bound():
     # symmetric case: no bias, estimate dominates the bound outright
     report = perturbation_gap([0.5], Empirical([[0.0]]), 1.0, 2.0)
-    assert report.gap >= -1e-12
+    assert report.margin >= -1e-12
     for k in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="perturbation scale k"):
             perturbation_gap([0.5], RES1, 1.0, k)
     # ||v||^2 overflows here; the bound is the linear branch
     report = perturbation_gap([1e200], Empirical([[0.1]]), 1.0, 1.0)
-    assert np.isfinite(report.lower_bound) and report.gap >= 0.0
+    assert np.isfinite(report.lower_bound) and report.margin >= 0.0
 
 
 def test_perturbation_gap_tiny_k_has_unit_ball_mass():

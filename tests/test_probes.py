@@ -95,7 +95,7 @@ def test_projected_symmetrized_ensemble_scores_zero():
 
 
 def test_histogram_totals_and_csv(tmp_path):
-    h = Histogram.from_values(np.array([0.1, 0.2, 0.9]), bins=4, value_range=(0.0, 1.0))
+    h = Histogram.from_values(np.array([0.1, 0.2, 0.9]), bins=4)
     assert h.total == 3
     out = tmp_path / "h.csv"
     h.to_csv(out)

@@ -54,9 +54,6 @@ def test_residual_model_is_x_free_and_centered():
     assert sorted(res.atoms[:, 0].tolist()) == [-8.0, 4.0, 4.0]
     assert np.allclose(res.weights, 1 / 3, atol=1e-15)
     assert abs(res.mean()[0]) < 1e-12
-    # residuals do not depend on the evaluation point
-    other = p.noise_residuals([17.0])
-    assert np.array_equal(other.atoms, res.atoms)
     # residual = per-sample gradient minus full gradient, at any x
     x = [0.3]
     for i in range(p.n):
