@@ -26,7 +26,7 @@ import numpy as np
 from . import noise as noise_mod
 from ._files import write_csv
 from .noise import IsotropicGaussian, SphericalMixture, prob_norm_below
-from .vectors import _check_threshold, as_vector, clip_batch, norm, row_norms
+from .vectors import _check_threshold, _clip_rows, as_vector, clip_batch, norm, row_norms
 
 __all__ = [
     "CheckFailure",
@@ -44,6 +44,10 @@ __all__ = [
     "perturbation_gap",
     "descent_ledger",
 ]
+
+# Slice buffer sets, about 2 MB each, that the ledger's score pass makes at
+# most: 16 MB at any core count. Pool workers beyond the sets stay idle.
+_SCORE_SETS = 8
 
 
 class CheckFailure(AssertionError):
@@ -76,12 +80,20 @@ def clip_scores(v, noises, c):
 
 def _clip_shifted(v, noises, c):
     """clip(v + xi, c) for every row xi of ``noises``, which must have the
-    dim of ``v``: the exact and Monte Carlo routes both check it here."""
+    dim of ``v``: the exact routes check it here."""
     noises = np.asarray(noises, dtype=np.float64)
     if noises.ndim == 1:
         noises = noises[:, None]
     _check_dims(v, noises.shape[1])
     return clip_batch(v[None, :] + noises, c)
+
+
+def _clip_shifted_map(v, model, c):
+    """The Monte Carlo row map xi -> clip(v + xi, c) of draws of ``model``,
+    whose dim is checked here once. It runs on pool threads, so it calls
+    the clip's private body (see ``noise._pool``)."""
+    _check_dims(v, model.dim)
+    return lambda xi: _clip_rows(v + xi, c)
 
 
 def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
@@ -94,7 +106,7 @@ def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     if not (mc_samples or model.scales.any()):
         scores = clip_scores(v, model.centers, c)
         return float(_weighted_sum(scores, model.weights)), 0.0
-    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c), v)
+    return noise_mod._mc_moments(model, stream, mc_samples, _clip_shifted_map(v, model, c), v)
 
 
 def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
@@ -102,7 +114,7 @@ def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
     v = as_vector(v)
     if not (mc_samples or model.scales.any()):
         return model.weights @ _clip_shifted(v, model.centers, c), np.zeros(v.shape[0])
-    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_shifted(v, xi, c))
+    return noise_mod._mc_moments(model, stream, mc_samples, _clip_shifted_map(v, model, c))
 
 
 def assert_symmetric(model):
@@ -186,7 +198,7 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         terms = mix.weights[aligned] * np.minimum(cnorms[aligned], (1.0 - z) * c) * cos_align
         lower = nv * float(np.sum(terms * prob_terms[aligned]))
 
-    est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: clip_batch(g, c), v)
+    est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: _clip_rows(g, c), v)
     report = BoundReport(
         estimate=est,
         std_error=se,
@@ -485,11 +497,12 @@ def _reflected_scores(V, emp, c, transport):
 
     A ledger of more than one slice is scored on the pool of
     ``noise._pool()``: each of at most one worker per core
-    (``noise._workers()``) takes whole slices, one at a time under a lock,
-    from one shared iterator, through its own set of the four buffers (all
-    allocated here, before any is submitted: buffers made on the workers
-    would each grow a malloc arena), and writes its slices' rows alone.
-    The buffers, 2 MB a worker, grow with the core count. A ledger of one
+    (``noise._workers()``), and at most ``_SCORE_SETS``, takes whole
+    slices, one at a time under a lock, from one shared iterator, through
+    its own set of the four buffers (all allocated here, before any is
+    submitted: buffers made on the workers would each grow a malloc
+    arena), and writes its slices' rows alone. The buffers take 2 MB a
+    worker, 16 MB at most. A ledger of one
     slice, or on one core, is scored on the calling thread: handing each
     one-slice ledger of the 1-D audits to the pool made their times spread
     wider from run to run. The product's right factor is a contiguous copy
@@ -533,7 +546,7 @@ def _reflected_scores(V, emp, c, transport):
                 e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
 
     sets = [(np.empty((max(2, rows), N)),) + tuple(np.empty((rows, N)) for _ in range(3))
-            for _ in range(min(noise_mod._workers(), -(-T // rows)))]
+            for _ in range(min(_SCORE_SETS, noise_mod._workers(), -(-T // rows)))]
     if len(sets) == 1:
         score(*sets[0])
         return e_plus, e_minus, w_gap

@@ -15,9 +15,11 @@ batch match shorter batches bit for bit, so results do not depend on
 how work is chunked across workers.
 
 The Monte Carlo routes draw their uniforms in order on the calling
-thread, a chunk at a time, while a process-wide pool of threads, one
-per core the process may run on, turns the chunks already drawn into
-normals; the inverse normal CDF is elementwise, so this changes no bit.
+thread, a chunk at a time, and sum the statistics once per block, while
+a process-wide pool of threads, one per core the process may run on,
+turns the chunks already drawn into normals and maps them to the
+statistic; each slice of draws is mapped on its own, so this changes no
+bit.
 The descent ledger scores its row slices on the same pool
 (``diagnostics._reflected_scores``), each slice on its own.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import _row_dots, row_norms
+from .vectors import _norms, _row_dots, row_norms
 
 # scipy.special and scipy.stats are imported where they are used: together
 # they take about 70 of the 100 MB that importing the package would
@@ -63,8 +65,8 @@ _CHUNK_DOUBLES = 1 << 22
 _SLICE_DOUBLES = 1 << 16
 
 # Doubles (1 MB) of uniforms in one Monte Carlo fill chunk (whole slices of
-# one block, drawn by the calling thread and turned into normals by a pool
-# worker), and of noise in one block of optimizer steps.
+# one block, drawn by the calling thread, then turned into normals and
+# mapped by a pool worker), and of noise in one block of optimizer steps.
 _FILL_DOUBLES = 1 << 17
 
 # Fill chunks in flight at once, each in its own ring buffer. The ring
@@ -117,9 +119,9 @@ def _to_normals(u):
 def _pool():
     """The process-wide pool of worker threads, one per core this process
     may run on; made on first use. It turns Monte Carlo fill chunks into
-    normals and scores the descent ledger's row slices. Its threads run
-    private kernels only, never a public function: the benchmark's span
-    tracer keeps one stack for all threads."""
+    normals and maps them, and scores the descent ledger's row slices. Its
+    threads run private kernels only, never a public function: the
+    benchmark's span tracer keeps one stack for all threads."""
     global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -223,14 +225,18 @@ class SphericalMixture(_Model):
         return self.centers.shape[1]
 
     def _from_rows(self, u):
+        """Draws as a new C-ordered array, so a clip of them makes no copy:
+        each normal times its component's scale, plus its center."""
+        z = u[:, 1:]
+        if self.rows_per_draw > 1 and len(self.weights) == 1:  # nothing to pick
+            z *= self.scales[0]
+            return np.add(z, self.centers[0], out=np.empty(z.shape))
         idx = np.searchsorted(self._cum, u[:, 0], side="right")
         idx = np.minimum(idx, len(self.weights) - 1)
         if self.rows_per_draw == 1:
             return self.centers[idx]
-        z = u[:, 1:]
         z *= self.scales[idx][:, None]
-        z += self.centers[idx]
-        return z
+        return np.add(z, self.centers[idx], out=np.empty(z.shape))
 
     def mean(self):
         return self.weights @ self.centers
@@ -351,7 +357,7 @@ def prob_norm_below(model, radius, stream=None, mc_samples=0):
     if not np.isfinite(radius) or radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if mc_samples:
-        p, _ = _mc_moments(model, stream, mc_samples, lambda x: row_norms(x) < radius)
+        p, _ = _mc_moments(model, stream, mc_samples, lambda x: _norms(x)[0] < radius)
         return p, float(np.sqrt(p * (1.0 - p) / int(mc_samples)))
     return _prob_norm_exact(model, radius), 0.0
 
@@ -367,17 +373,20 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws, and the
     sums run once per block, so the bits depend on the block size alone.
     Each block is cut into fill chunks of whole row slices (``_chunks``).
-    This thread draws each chunk in order from the one generator into its
-    own ring buffer, up to ``_RING`` chunks ahead, and a pool worker turns
-    the chunk's normal columns into normals in place. Meanwhile this
-    thread maps each transformed chunk in slices of at most
-    ``_SLICE_DOUBLES`` (``_map_rows``), so the elementwise work runs in
-    cache, into one block buffer of statistics, and then draws the next
-    chunk into the freed buffer. The projection is a row-local ``einsum``
-    per slice (``vectors._row_dots``): a BLAS matrix-vector product's rows
-    change in the last bit with the row count, and its threads spin
-    between calls. The draws equal one serial batch of ``mc_samples``, and
-    a Generator passed in is continued as that batch would continue it.
+    This thread draws each chunk in order from the one generator into a
+    free ring buffer and hands it to a pool worker, which turns the chunk's
+    normal columns into normals in place and, while the chunk is still in
+    its cache, maps it in slices of at most ``_SLICE_DOUBLES``
+    (``_map_rows``) into one block buffer of statistics. Only the open
+    block's chunks are handed out, with at most ``_RING`` chunks in flight
+    however many workers the pool has, and this thread sums the block once
+    its last chunk is done. The workers call private kernels only (see
+    :func:`_pool`). The projection is a row-local ``einsum`` per slice
+    (``vectors._row_dots``): a BLAS matrix-vector product's rows change in
+    the last bit with the row count, and its threads spin between calls.
+    Each slice is mapped on its own, so the draws equal one serial batch of
+    ``mc_samples``, no bit depends on the worker count, and a Generator
+    passed in is continued as that batch would continue it.
     """
     if not mc_samples:
         raise ValueError(
@@ -389,6 +398,7 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     count = int(mc_samples)
     if count < 0:
         raise ValueError(f"mc_samples must be >= 0, got {count}")
+    import threading
     from collections import deque
     from concurrent.futures import wait
 
@@ -397,39 +407,43 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     block = min(count, max(1, _CHUNK_DOUBLES // width))
     rows = min(block, max(1, _SLICE_DOUBLES // width))
     chunk = min(block, rows * max(1, _FILL_DOUBLES // (rows * draw)))
-    ring = [np.empty((chunk, draw)) for _ in range(max(1, min(_RING, block // chunk)))]
-    plan = _chunks(count, block, chunk)
+    ring = deque(np.empty((chunk, draw)) for _ in range(max(1, min(_RING, block // chunk))))
     pool = _pool()
-    pending = deque()  # a chunk's plan entry, its ring buffer, its transform
+    pending = deque()  # (ring buffer, task) of each handed-out chunk, in order
+    mapped = []  # the block buffer, made for the first slice's statistic
+    made = threading.Lock()
 
-    def fill(buffer):
-        """Draw the next planned chunk into ``buffer``; queue its transform."""
-        step = next(plan, None)
-        if step is not None:
-            u = buffer[:step[1]]
-            gen.random(out=u)
-            pending.append((*step, buffer, pool.submit(_to_normals, u[:, 1:])))
+    def transform_and_map(u, lo):
+        """Turn one chunk's normal columns into normals, then map its
+        slices into the block buffer from row ``lo`` on."""
+        _to_normals(u[:, 1:])
+        for at in range(0, u.shape[0], rows):
+            part = _map_rows(model, u[at:at + rows], row_map, project)
+            with made:
+                if not mapped:
+                    mapped.append(np.empty((block,) + part.shape[1:]))
+            mapped[0][lo + at:lo + at + part.shape[0]] = part
 
-    mapped = None
+    def finish_oldest():
+        buffer, task = pending.popleft()
+        task.result()
+        ring.append(buffer)
+
     # -0.0 is the exact additive identity, so a single block sums as itself
     total = total_sq = -0.0
     power = 0  # both sums are scaled by 2 ** -power, the squares by its square
     try:
-        for buffer in ring:
-            fill(buffer)
-        while pending:
-            lo, n, ends_block, buffer, future = pending.popleft()
-            future.result()
-            u = buffer[:n]
-            for at in range(0, n, rows):
-                part = _map_rows(model, u[at:at + rows], row_map, project)
-                if mapped is None:
-                    mapped = np.empty((block,) + part.shape[1:])
-                mapped[lo + at:lo + at + part.shape[0]] = part
-            fill(buffer)
+        for lo, n, ends_block in _chunks(count, block, chunk):
+            if not ring:
+                finish_oldest()
+            buffer = ring.popleft()
+            gen.random(out=buffer[:n])
+            pending.append((buffer, pool.submit(transform_and_map, buffer[:n], lo)))
             if not ends_block:
                 continue
-            values = mapped[:lo + n]
+            while pending:
+                finish_oldest()
+            values = mapped[0][:lo + n]
             top = max(values.max(), -values.min())
             grow = int(np.frexp(top)[1]) - power  # scaled, top is below 2^grow
             # powers of two scale exactly, so the running sums keep their bits;
@@ -446,10 +460,10 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
             total = total + values.sum(axis=0)
             total_sq = total_sq + np.multiply(values, values, out=values).sum(axis=0)
     finally:
-        futures = [future for *_, future in pending]
-        for future in futures:
-            future.cancel()
-        wait(futures)
+        tasks = [task for _, task in pending]
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
     scaled = total / count
     mean = np.ldexp(scaled, power)
     var = np.maximum(total_sq / count - scaled * scaled, 0.0)

@@ -135,6 +135,13 @@ def clip_batch(rows, c):
     ``c``; a row whose quotient underflows to 0 is rescaled from a copy
     scaled by a power of two, which is exact and keeps its direction.
     """
+    return _clip_rows(rows, c)
+
+
+def _clip_rows(rows, c):
+    """``clip_batch``'s body, which the Monte Carlo routes call on pool
+    threads: the benchmark's span tracer wraps the public function and
+    keeps one stack for all threads."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     norms, top = _norms(rows)
     # A finite norm needs finite components, so the rows are scanned only
@@ -152,7 +159,7 @@ def clip_batch(rows, c):
         lost = np.flatnonzero(scale == 0.0)
         _, exp = np.frexp(np.abs(rows[lost]).max(axis=1))
         scaled = np.ldexp(rows[lost], -exp[:, None])
-        out[lost] = scaled * (c / row_norms(scaled))[:, None]
+        out[lost] = scaled * (c / _norms(scaled)[0])[:, None]
     return _nudge(out, c)
 
 
@@ -176,7 +183,7 @@ def _nudge(out, c):
     whose einsum norm is below ``2^-511`` is under ``c`` by either measure.
     """
     in_band = 2.0 * _NORM_FLOOR <= c < 2.0 ** 511 and out.shape[1] <= 8192
-    norms_of = _einsum_norms if in_band else row_norms
+    norms_of = _einsum_norms if in_band else lambda rows: _norms(rows)[0]
     for _ in range(4):
         norms = norms_of(out)
         if not np.maximum.reduce(norms, initial=0.0) > c:

@@ -1012,9 +1012,11 @@ def test_ledger_bits_do_not_depend_on_the_worker_count(monkeypatch, problem, ste
     assert ledgers[0] == ledgers[1]
 
 
-def test_ledger_pool_threads_call_no_public_function(monkeypatch):
-    # The benchmark's span tracer keeps one stack for every thread, so a
-    # public function called from a pool worker would corrupt its spans.
+def _fail_off_main(monkeypatch):
+    """Wrap every public package function at every module that binds it
+    to fail, and to log its name, when called off the main thread. The
+    benchmark's span tracer keeps one stack for every thread, so a public
+    function called from a pool worker would corrupt its spans."""
     off_main = []
     names = set(diagnostics.__all__) | set(vectors.__all__) | set(noise.__all__)
     names.add("normals_from_uniforms")
@@ -1032,11 +1034,70 @@ def test_ledger_pool_threads_call_no_public_function(monkeypatch):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, on_main)
+    return off_main
+
+
+def test_ledger_pool_threads_call_no_public_function(monkeypatch):
+    off_main = _fail_off_main(monkeypatch)
     traj = _ledger_run(MIXTURE, [0.0] * 10, steps=120)
     with _pool_of(monkeypatch, 3):
         ledger = descent_ledger(traj, wasserstein=True)
     assert off_main == []
     assert ledger.passed
+
+
+def _pooled_route(route):
+    if route != "wide":
+        return _mc_route(route)
+    # rows of more than 8192 columns take the wide norms, in the clip and
+    # in its nudge loop
+    v = np.full(10_000, 0.01)
+    model = perturb(Empirical(np.zeros((1, 10_000))), 1.0)
+    return expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0), mc_samples=40)
+
+
+@pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm", "wide"])
+def test_monte_carlo_pool_threads_call_no_public_function(monkeypatch, route):
+    # One-row chunks of the wide route, 286 seven-row chunks of the others,
+    # each turned into normals and mapped on a pool worker: the clips and
+    # norms there are private kernels, and three workers give the bits of
+    # one.
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
+    monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)
+    with _pool_of(monkeypatch, 1):
+        want = _pooled_route(route)
+    off_main = _fail_off_main(monkeypatch)
+    with _pool_of(monkeypatch, 3):
+        got = _pooled_route(route)
+    assert off_main == []
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_ledger_buffer_sets_are_capped_at_any_core_count(monkeypatch):
+    # 1 000 steps against 10 000 atoms take 167 slices. On 64 cores one
+    # buffer set per worker would take 128 MB; the cap makes eight, whose
+    # workers take every slice. A pool of three threads stands in for the
+    # 64 workers, so the test starts no more threads than that.
+    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=1000)
+    with _pool_of(monkeypatch, 1):
+        want = _ledger_bytes(descent_ledger(traj))
+    monkeypatch.setattr(noise, "_workers", lambda: 64)
+    pool = ThreadPoolExecutor(3)
+    monkeypatch.setattr(noise, "_POOL", pool)
+    threads = threading.active_count()
+    try:
+        tracemalloc.start()
+        try:
+            got = _ledger_bytes(descent_ledger(traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert threading.active_count() <= threads + 3
+    finally:
+        pool.shutdown()
+    assert got == want
+    assert peak < (4 * diagnostics._SCORE_SETS + 4) * 8 * noise._SLICE_DOUBLES
 
 
 def test_ledger_of_one_slice_or_one_worker_stays_on_the_calling_thread(monkeypatch):

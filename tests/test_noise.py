@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from clipbias import noise
 from clipbias.noise import (
     Empirical,
     IsotropicGaussian,
@@ -69,14 +70,32 @@ def test_sample_generator_continuation(model):
         (SphericalMixture([0.3, 0.7], [[1.0, 0.0, 2.0], [0.0, -2.0, 0.5]], [0.0, 1.5]),
          [0.3, 0.7], [[1.0, 0.0, 2.0], [0.0, -2.0, 0.5]], [0.0, 1.5]),
         (IsotropicGaussian(1.5, dim=3), [1.0], [[0.0, 0.0, 0.0]], [1.5]),
+        (SphericalMixture([1.0], [[1.5, -2.0, 0.25]], [0.75]), [1.0], [[1.5, -2.0, 0.25]],
+         [0.75]),
     ],
 )
 def test_sample_matches_the_draw_layout(model, weights, centers, scales):
     # one uniform picks the component, then dim normals when any scale is
-    # positive: every model draws exactly as this hand-built mixture does
+    # positive: every model draws exactly as this hand-built mixture does.
+    # A one-component model picks nothing; it multiplies by its scale and
+    # adds its center, the same products and sums.
     for seed, stream, count in ((0, 0, 1), (7, 3, 257)):
         want = mixture_draws(SeededStream(seed, stream).generator(), count, weights, centers, scales)
-        assert np.array_equal(model.sample(SeededStream(seed, stream), count), want)
+        got = model.sample(SeededStream(seed, stream), count)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    # The Monte Carlo routes map new C-ordered draws, which a clip takes
+    # without a layout copy, not views of the filled uniforms.
+    seen = []
+
+    def row_map(x):
+        seen.append(x.flags.c_contiguous)
+        return x
+
+    mean, _ = noise._mc_moments(model, SeededStream(7, 3), 257, row_map)
+    assert seen and all(seen)
+    want = mixture_draws(SeededStream(7, 3).generator(), 257, weights, centers, scales)
+    np.testing.assert_array_equal(mean, (-0.0 + want.sum(axis=0)) / 257)
 
 
 def test_empirical_frequencies():
