@@ -18,7 +18,6 @@ it internally and raise :class:`CheckFailure` when the data contradicts
 it beyond 3 standard errors.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +43,6 @@ __all__ = [
     "perturbation_gap",
     "descent_ledger",
 ]
-
-# Slice buffer sets, about 2 MB each, that the ledger's score pass makes at
-# most: 16 MB at any core count. Pool workers beyond the sets stay idle.
-_SCORE_SETS = 8
 
 
 class CheckFailure(AssertionError):
@@ -495,19 +490,14 @@ def _reflected_scores(V, emp, c, transport):
     is row-local too: OpenBLAS is on the shipped problems, but not on
     every shape (10-D clouds of 4097 atoms, for one).
 
-    A ledger of more than one slice is scored on the pool of
-    ``noise._pool()``: each of at most one worker per core
-    (``noise._workers()``), and at most ``_SCORE_SETS``, takes whole
-    slices, one at a time under a lock, from one shared iterator, through
-    its own set of the four buffers (all allocated here, before any is
-    submitted: buffers made on the workers would each grow a malloc
-    arena), and writes its slices' rows alone. The buffers take 2 MB a
-    worker, 16 MB at most. A ledger of one
-    slice, or on one core, is scored on the calling thread: handing each
-    one-slice ledger of the 1-D audits to the pool made their times spread
-    wider from run to run. The product's right factor is a contiguous copy
-    of ``atoms.T``: against the transposed view, OpenBLAS's GEMMs on
-    several threads at once ran slower than the serial loop. Slices are cut as in one serial pass and
+    The slices are shared out by ``noise._share``, one set of the four
+    buffers per worker (2 MB each), and each worker writes its slices'
+    rows alone. A ledger of one slice, or on one core, is scored on the
+    calling thread: handing each one-slice ledger of the 1-D audits to the
+    pool made their times spread wider from run to run. The product's
+    right factor is a contiguous copy of ``atoms.T``: against the
+    transposed view, OpenBLAS's GEMMs on several threads at once ran
+    slower than the serial loop. Slices are cut as in one serial pass and
     each is computed alone, so no bit depends on the worker count. The
     transport column is NaN unless ``transport``.
     """
@@ -523,40 +513,24 @@ def _reflected_scores(V, emp, c, transport):
     w_gap = np.full(T, np.nan)
     rows = min(T, max(1, noise_mod._SLICE_DOUBLES // N))
     starts = iter(range(0, T, rows))
-    hand_out = threading.Lock()
 
-    def score(product, work, plus, minus):
-        """Score slices taken from ``starts`` through one buffer set, until
-        none is left."""
+    def score(s, product, work, plus, minus):
+        """Score the slice of rows from ``s`` on through one buffer set."""
+        e = min(T, s + rows)
+        left = V[s:e] if e - s > 1 else V[[s, s]]
+        A = np.matmul(left, right, out=product[:left.shape[0]])[-(e - s):]
+        s_plus, s_minus, scratch = plus[:e - s], minus[:e - s], work[:e - s]
         with np.errstate(divide="ignore"):
-            while True:
-                with hand_out:  # each slice to one worker, with or without a GIL
-                    s = next(starts, None)
-                if s is None:
-                    return
-                e = min(T, s + rows)
-                left = V[s:e] if e - s > 1 else V[[s, s]]
-                A = np.matmul(left, right, out=product[:left.shape[0]])[-(e - s):]
-                s_plus, s_minus, scratch = plus[:e - s], minus[:e - s], work[:e - s]
-                _score_block(v2[s:e], A, a2, c, 1.0, scratch, s_plus)
-                _score_block(v2[s:e], A, a2, c, -1.0, scratch, s_minus)
-                if transport:
-                    w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
-                e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
-                e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
+            _score_block(v2[s:e], A, a2, c, 1.0, scratch, s_plus)
+            _score_block(v2[s:e], A, a2, c, -1.0, scratch, s_minus)
+        if transport:
+            w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
+        e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
+        e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
 
     sets = [(np.empty((max(2, rows), N)),) + tuple(np.empty((rows, N)) for _ in range(3))
-            for _ in range(min(_SCORE_SETS, noise_mod._workers(), -(-T // rows)))]
-    if len(sets) == 1:
-        score(*sets[0])
-        return e_plus, e_minus, w_gap
-    from concurrent.futures import wait
-
-    pool = noise_mod._pool()
-    futures = [pool.submit(score, *buffers) for buffers in sets]
-    wait(futures)
-    for future in futures:
-        future.result()  # raises a worker's error, once every worker is done
+            for _ in range(min(noise_mod._SETS, noise_mod._workers(), -(-T // rows)))]
+    noise_mod._share(lambda *buffers: next(starts, None), score, sets)
     return e_plus, e_minus, w_gap
 
 

@@ -14,14 +14,12 @@ pure function of ``(master_seed, stream_id, i)``: prefixes of a sample
 batch match shorter batches bit for bit, so results do not depend on
 how work is chunked across workers.
 
-The Monte Carlo routes draw their uniforms in order on the calling
-thread, a chunk at a time, and sum the statistics once per block, while
-a process-wide pool of threads, one per core the process may run on,
-turns the chunks already drawn into normals and maps them to the
-statistic; each slice of draws is mapped on its own, so this changes no
-bit.
-The descent ledger scores its row slices on the same pool
-(``diagnostics._reflected_scores``), each slice on its own.
+The Monte Carlo routes and the descent ledger
+(``diagnostics._reflected_scores``) share their work out through one
+scheduler, :func:`_share`, on a process-wide pool of threads, one per
+core the process may run on: a route's fill chunks, drawn in stream
+order, or the ledger's row slices. Each chunk or slice is computed on
+its own, so no bit depends on the number of workers.
 
 Norm probabilities ``P(||xi|| < r)`` are exact for every model (finite
 weight sums, chi-square, or noncentral chi-square), with an
@@ -29,6 +27,7 @@ optional Monte Carlo route kept for cross-checking.
 """
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +64,14 @@ _CHUNK_DOUBLES = 1 << 22
 _SLICE_DOUBLES = 1 << 16
 
 # Doubles (1 MB) of uniforms in one Monte Carlo fill chunk (whole slices of
-# one block, drawn by the calling thread, then turned into normals and
-# mapped by a pool worker), and of noise in one block of optimizer steps.
+# one block, drawn, turned into normals and mapped by one worker), and of
+# noise in one block of optimizer steps.
 _FILL_DOUBLES = 1 << 17
 
-# Fill chunks in flight at once, each in its own ring buffer. The ring
-# never holds more than one block's uniforms.
-_RING = 8
+# Buffer sets, and so workers, in one _share pass at most: a 1 MB fill
+# chunk each for a Monte Carlo route, four slice buffers (2 MB) each for
+# the ledger. Pool threads beyond the sets stay idle.
+_SETS = 8
 
 # Monte Carlo sums are taken scaled by a power of two once a block's largest
 # value leaves [2^-500, 2^500), so that the values and their squares stay normal.
@@ -118,8 +118,7 @@ def _to_normals(u):
 
 def _pool():
     """The process-wide pool of worker threads, one per core this process
-    may run on; made on first use. It turns Monte Carlo fill chunks into
-    normals and maps them, and scores the descent ledger's row slices. Its
+    may run on; made on first use. :func:`_share` hands it work. Its
     threads run private kernels only, never a public function: the
     benchmark's span tracer keeps one stack for all threads."""
     global _POOL
@@ -128,6 +127,42 @@ def _pool():
 
         _POOL = ThreadPoolExecutor(_workers(), thread_name_prefix="clipbias-pool")
     return _POOL
+
+
+def _share(take, work, sets):
+    """Run ``work`` on every item that ``take`` hands out, one worker per
+    buffer set of ``sets``: the one scheduler of the pooled passes.
+
+    Set 0 is worked on the calling thread and every other set on a thread
+    of :func:`_pool`, so a single set never reaches the pool. A worker
+    calls ``take(*buffers)`` under one lock for its next item (``None``
+    when none is left), then ``work(item, *buffers)`` outside it. The
+    caller makes every buffer before any worker starts (buffers made on
+    the workers would each grow a malloc arena), so the sets, at most
+    ``_SETS``, bound the memory at any core count. Once a worker fails no
+    more items are handed out, and the first error is raised after every
+    worker has returned.
+    """
+    lock = threading.Lock()
+    errors = []
+
+    def run(*buffers):
+        try:
+            while True:
+                with lock:
+                    item = None if errors else take(*buffers)
+                if item is None:
+                    return
+                work(item, *buffers)
+        except BaseException as exc:  # raised below, once every worker is done
+            errors.append(exc)
+
+    futures = [_pool().submit(run, *buffers) for buffers in sets[1:]]
+    run(*sets[0])
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[0]
 
 
 def _workers():
@@ -156,44 +191,13 @@ def _resolve_generator(stream):
     raise TypeError(f"expected SeededStream or Generator, got {type(stream).__name__}")
 
 
-class _Model:
-    """Shared sampling plumbing: one row of ``rows_per_draw`` uniforms per
-    draw. Every column after the first becomes a standard normal, and
-    ``_from_rows`` maps the row to the draw.
-    """
-
-    dim: int
-    rows_per_draw: int
-
-    def sample(self, stream, count):
-        """Draw ``count`` vectors, shape ``(count, dim)``.
-
-        Passing a :class:`SeededStream` restarts the stream, so draw
-        ``i`` depends only on the stream identity and ``i``. Passing a
-        ``numpy.random.Generator`` continues it, which chunked loops
-        use to split one logical batch across calls.
-        """
-        count = int(count)
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        gen = _resolve_generator(stream)
-        u = gen.random((count, self.rows_per_draw))
-        if self.rows_per_draw > 1:
-            normals_from_uniforms(u[:, 1:])
-        return self._from_rows(u)
-
-    def _from_rows(self, u):
-        """Draws from rows of uniforms whose columns after the first hold
-        normals; ``u`` may be overwritten."""
-        raise NotImplementedError
-
-
-class SphericalMixture(_Model):
+class SphericalMixture:
     """Mixture of spherical normals: sum_i w_i * N(center_i, scale_i^2 I).
 
     Every noise model is one: an atom is a component of scale 0. A draw
-    takes one uniform, which picks the component by cumulative weight,
-    then ``dim`` normals when any scale is positive.
+    takes one row of ``rows_per_draw`` uniforms: the first picks the
+    component by cumulative weight, and when any scale is positive
+    ``dim`` more become normals.
     """
 
     def __init__(self, weights, centers, scales):
@@ -224,9 +228,28 @@ class SphericalMixture(_Model):
     def dim(self):
         return self.centers.shape[1]
 
+    def sample(self, stream, count):
+        """Draw ``count`` vectors, shape ``(count, dim)``.
+
+        Passing a :class:`SeededStream` restarts the stream, so draw
+        ``i`` depends only on the stream identity and ``i``. Passing a
+        ``numpy.random.Generator`` continues it, which chunked loops
+        use to split one logical batch across calls.
+        """
+        count = int(count)
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        gen = _resolve_generator(stream)
+        u = gen.random((count, self.rows_per_draw))
+        if self.rows_per_draw > 1:
+            normals_from_uniforms(u[:, 1:])
+        return self._from_rows(u)
+
     def _from_rows(self, u):
-        """Draws as a new C-ordered array, so a clip of them makes no copy:
-        each normal times its component's scale, plus its center."""
+        """Draws from rows of uniforms whose columns after the first hold
+        normals (``u`` may be overwritten), as a new C-ordered array, so a
+        clip of them makes no copy: each normal times its component's
+        scale, plus its center."""
         z = u[:, 1:]
         if self.rows_per_draw > 1 and len(self.weights) == 1:  # nothing to pick
             z *= self.scales[0]
@@ -240,6 +263,10 @@ class SphericalMixture(_Model):
 
     def mean(self):
         return self.weights @ self.centers
+
+
+# the sampler's name in benchmarks/layers.py, which traces it
+_Model = SphericalMixture
 
 
 class Empirical(SphericalMixture):
@@ -372,21 +399,20 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
 
     Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws, and the
     sums run once per block, so the bits depend on the block size alone.
-    Each block is cut into fill chunks of whole row slices (``_chunks``).
-    This thread draws each chunk in order from the one generator into a
-    free ring buffer and hands it to a pool worker, which turns the chunk's
-    normal columns into normals in place and, while the chunk is still in
-    its cache, maps it in slices of at most ``_SLICE_DOUBLES``
-    (``_map_rows``) into one block buffer of statistics. Only the open
-    block's chunks are handed out, with at most ``_RING`` chunks in flight
-    however many workers the pool has, and this thread sums the block once
-    its last chunk is done. The workers call private kernels only (see
-    :func:`_pool`). The projection is a row-local ``einsum`` per slice
-    (``vectors._row_dots``): a BLAS matrix-vector product's rows change in
-    the last bit with the row count, and its threads spin between calls.
-    Each slice is mapped on its own, so the draws equal one serial batch of
-    ``mc_samples``, no bit depends on the worker count, and a Generator
-    passed in is continued as that batch would continue it.
+    Each block is cut into fill chunks of whole row slices (``_chunks``)
+    that :func:`_share` hands out, one chunk buffer per worker. Under the
+    hand-out lock a worker draws the next chunk from the one generator, so
+    the draws keep stream order; then it turns the chunk's normal columns
+    into normals in place and, while the chunk is still in its cache, maps
+    it in slices of at most ``_SLICE_DOUBLES`` (``_map_rows``) into one
+    block buffer of statistics, which this thread sums once the block is
+    done. The workers call private kernels only (see :func:`_pool`). The
+    projection is a row-local ``einsum`` per slice (``vectors._row_dots``):
+    a BLAS matrix-vector product's rows change in the last bit with the
+    row count, and its threads spin between calls. Each slice is mapped on
+    its own, so the draws equal one serial batch of ``mc_samples``, no bit
+    depends on the worker count, and a Generator passed in is continued as
+    that batch would continue it.
     """
     if not mc_samples:
         raise ValueError(
@@ -398,24 +424,31 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     count = int(mc_samples)
     if count < 0:
         raise ValueError(f"mc_samples must be >= 0, got {count}")
-    import threading
-    from collections import deque
-    from concurrent.futures import wait
-
     draw = model.rows_per_draw
     width = draw + model.dim
     block = min(count, max(1, _CHUNK_DOUBLES // width))
     rows = min(block, max(1, _SLICE_DOUBLES // width))
     chunk = min(block, rows * max(1, _FILL_DOUBLES // (rows * draw)))
-    ring = deque(np.empty((chunk, draw)) for _ in range(max(1, min(_RING, block // chunk))))
-    pool = _pool()
-    pending = deque()  # (ring buffer, task) of each handed-out chunk, in order
+    plan = _chunks(count, block, chunk)
+    end = 0  # the open block's rows once its last chunk is handed out
     mapped = []  # the block buffer, made for the first slice's statistic
     made = threading.Lock()
 
-    def transform_and_map(u, lo):
-        """Turn one chunk's normal columns into normals, then map its
-        slices into the block buffer from row ``lo`` on."""
+    def take(u):
+        """Draw the open block's next chunk into ``u``."""
+        nonlocal end
+        if end:
+            return None
+        lo, n, ends_block = next(plan)
+        gen.random(out=u[:n])
+        if ends_block:
+            end = lo + n
+        return lo, u[:n]
+
+    def work(item, u):
+        """Turn a chunk's normal columns into normals, then map its slices
+        into the block buffer from row ``lo`` on."""
+        lo, u = item
         _to_normals(u[:, 1:])
         for at in range(0, u.shape[0], rows):
             part = _map_rows(model, u[at:at + rows], row_map, project)
@@ -424,46 +457,29 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
                     mapped.append(np.empty((block,) + part.shape[1:]))
             mapped[0][lo + at:lo + at + part.shape[0]] = part
 
-    def finish_oldest():
-        buffer, task = pending.popleft()
-        task.result()
-        ring.append(buffer)
-
+    sets = [(np.empty((chunk, draw)),) for _ in range(min(_SETS, _workers(), -(-block // chunk)))]
     # -0.0 is the exact additive identity, so a single block sums as itself
     total = total_sq = -0.0
     power = 0  # both sums are scaled by 2 ** -power, the squares by its square
-    try:
-        for lo, n, ends_block in _chunks(count, block, chunk):
-            if not ring:
-                finish_oldest()
-            buffer = ring.popleft()
-            gen.random(out=buffer[:n])
-            pending.append((buffer, pool.submit(transform_and_map, buffer[:n], lo)))
-            if not ends_block:
-                continue
-            while pending:
-                finish_oldest()
-            values = mapped[0][:lo + n]
-            top = max(values.max(), -values.min())
-            grow = int(np.frexp(top)[1]) - power  # scaled, top is below 2^grow
-            # powers of two scale exactly, so the running sums keep their bits;
-            # sums are scaled up only while empty, lest a square overflow
-            if 0.0 < top < np.inf and not -_SQUARE_EXP < grow <= _SQUARE_EXP and (
-                grow > 0 or not np.any(total_sq)
-            ):
-                total = np.ldexp(total, -grow)
-                total_sq = np.ldexp(total_sq, -2 * grow)
-                power += grow
-            # squared in place: a block of clipped vectors is half the budget
-            if power:
-                np.ldexp(values, -power, out=values)
-            total = total + values.sum(axis=0)
-            total_sq = total_sq + np.multiply(values, values, out=values).sum(axis=0)
-    finally:
-        tasks = [task for _, task in pending]
-        for task in tasks:
-            task.cancel()
-        wait(tasks)
+    for _ in range(0, count, block):
+        _share(take, work, sets)
+        values = mapped[0][:end]
+        end = 0  # opens the next block
+        top = max(values.max(), -values.min())
+        grow = int(np.frexp(top)[1]) - power  # scaled, top is below 2^grow
+        # powers of two scale exactly, so the running sums keep their bits;
+        # sums are scaled up only while empty, lest a square overflow
+        if 0.0 < top < np.inf and not -_SQUARE_EXP < grow <= _SQUARE_EXP and (
+            grow > 0 or not np.any(total_sq)
+        ):
+            total = np.ldexp(total, -grow)
+            total_sq = np.ldexp(total_sq, -2 * grow)
+            power += grow
+        # squared in place: a block of clipped vectors is half the budget
+        if power:
+            np.ldexp(values, -power, out=values)
+        total = total + values.sum(axis=0)
+        total_sq = total_sq + np.multiply(values, values, out=values).sum(axis=0)
     scaled = total / count
     mean = np.ldexp(scaled, power)
     var = np.maximum(total_sq / count - scaled * scaled, 0.0)

@@ -268,10 +268,10 @@ def test_monte_carlo_projection_above_8192_dims_moves_no_bits(monkeypatch):
 def test_monte_carlo_fill_moves_no_bits(monkeypatch, route):
     # Each draw takes 3 uniforms, so with 7-row slices these fill budgets
     # give chunks of 1, 2 and 10 slices (the last chunk of a 200-row block
-    # is cut short). Whatever the chunks, the ring depth or the number of
+    # is cut short). Whatever the chunks, the set cap or the number of
     # workers, every chunk holds its own draws and the block sums see the
     # same values, so no bit moves. Three workers, more than the cores, and
-    # a short switch interval stress the reuse of ring buffers.
+    # a short switch interval stress the reuse of chunk buffers.
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
     pools = [ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
     switch = sys.getswitchinterval()
@@ -280,13 +280,14 @@ def test_monte_carlo_fill_moves_no_bits(monkeypatch, route):
         for chunk in (noise._CHUNK_DOUBLES, 1000):
             monkeypatch.setattr(noise, "_CHUNK_DOUBLES", chunk)
             monkeypatch.setattr(noise, "_FILL_DOUBLES", 1 << 17)
-            monkeypatch.setattr(noise, "_RING", 8)
+            monkeypatch.setattr(noise, "_SETS", 8)
             whole = _mc_route(route)
-            for pool in pools:
+            for workers, pool in zip((1, 3), pools):
+                monkeypatch.setattr(noise, "_workers", lambda workers=workers: workers)
                 monkeypatch.setattr(noise, "_POOL", pool)
-                for fill, ring in ((21, 1), (21, 8), (42, 3), (210, 8)):
+                for fill, sets in ((21, 1), (21, 8), (42, 3), (210, 8)):
                     monkeypatch.setattr(noise, "_FILL_DOUBLES", fill)
-                    monkeypatch.setattr(noise, "_RING", ring)
+                    monkeypatch.setattr(noise, "_SETS", sets)
                     for got, want in zip(_mc_route(route), whole):
                         np.testing.assert_array_equal(got, want)
     finally:
@@ -301,27 +302,32 @@ def test_monte_carlo_fill_moves_no_bits(monkeypatch, route):
 def test_monte_carlo_continues_a_generator(monkeypatch, generator):
     # A Generator, Philox-backed or not, with a part-used buffer is
     # continued exactly: the estimate is the mean over its next serial
-    # draws, and it is left where drawing them serially leaves it.
+    # draws, and it is left where drawing them serially leaves it. With
+    # three workers the pool threads draw chunks too, under the hand-out
+    # lock.
     v = np.array([0.4, -0.1])
     model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 50)  # ten-draw slices,
     monkeypatch.setattr(noise, "_FILL_DOUBLES", 30)  # one per fill chunk
-    gen, serial = generator(), generator()
-    gen.integers(2**32, dtype=np.uint32)  # leaves half a 64-bit output
-    serial.integers(2**32, dtype=np.uint32)
-    gen.random(3)
-    serial.random(3)
-    mean, _ = expected_clipped_gradient(v, model, 1.0, stream=gen, mc_samples=2000)
-    values = diagnostics.clip_batch(v + model.sample(serial, 2000), 1.0)
-    np.testing.assert_array_equal(mean, (-0.0 + values.sum(axis=0)) / 2000)
-    assert np.array_equal(gen.random(9), serial.random(9))
-    assert gen.integers(2**32, dtype=np.uint32) == serial.integers(2**32, dtype=np.uint32)
+    for workers in (1, 3):
+        gen, serial = generator(), generator()
+        gen.integers(2**32, dtype=np.uint32)  # leaves half a 64-bit output
+        serial.integers(2**32, dtype=np.uint32)
+        gen.random(3)
+        serial.random(3)
+        with _pool_of(monkeypatch, workers):
+            mean, _ = expected_clipped_gradient(v, model, 1.0, stream=gen, mc_samples=2000)
+        values = diagnostics.clip_batch(v + model.sample(serial, 2000), 1.0)
+        np.testing.assert_array_equal(mean, (-0.0 + values.sum(axis=0)) / 2000)
+        assert np.array_equal(gen.random(9), serial.random(9))
+        assert gen.integers(2**32, dtype=np.uint32) == serial.integers(2**32, dtype=np.uint32)
 
 
 def test_monte_carlo_errors_surface_and_leave_the_pool_clean(monkeypatch):
     # A worker's error reaches the caller with its own message, and so does
-    # one raised while mapping; chunks still queued are dropped, and the
-    # next call gives the same bits as before.
+    # one raised while mapping; no chunk is handed out after it, so each of
+    # the other two workers transforms at most the chunk it already holds,
+    # and the next call gives the same bits as before.
     whole = _mc_route("inner")
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
     monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)  # 286 seven-row chunks
@@ -334,32 +340,34 @@ def test_monte_carlo_errors_surface_and_leave_the_pool_clean(monkeypatch):
         to_normals(u)
 
     monkeypatch.setattr(noise, "_to_normals", failing)
-    with pytest.raises(RuntimeError, match="the sixth chunk failed"):
-        _mc_route("inner")
-    monkeypatch.setattr(noise, "_to_normals", to_normals)
-    map_rows = noise._map_rows
-    seen = []
+    with _pool_of(monkeypatch, 3):
+        with pytest.raises(RuntimeError, match="the sixth chunk failed"):
+            _mc_route("inner")
+        assert next(transforms) - 1 <= 6 + 2
+        monkeypatch.setattr(noise, "_to_normals", to_normals)
+        map_rows = noise._map_rows
+        seen = []
 
-    def bad_map(model, u, row_map, project):
-        seen.append(u.shape[0])
-        if len(seen) == 4:
-            raise ValueError("the fourth slice is bad")
-        return map_rows(model, u, row_map, project)
+        def bad_map(model, u, row_map, project):
+            seen.append(u.shape[0])
+            if len(seen) == 4:
+                raise ValueError("the fourth slice is bad")
+            return map_rows(model, u, row_map, project)
 
-    monkeypatch.setattr(noise, "_map_rows", bad_map)
-    with pytest.raises(ValueError, match="the fourth slice is bad"):
-        _mc_route("inner")
-    monkeypatch.setattr(noise, "_map_rows", map_rows)
-    for got, want in zip(_mc_route("inner"), whole):
-        np.testing.assert_array_equal(got, want)
+        monkeypatch.setattr(noise, "_map_rows", bad_map)
+        with pytest.raises(ValueError, match="the fourth slice is bad"):
+            _mc_route("inner")
+        monkeypatch.setattr(noise, "_map_rows", map_rows)
+        for got, want in zip(_mc_route("inner"), whole):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_monte_carlo_block_memory_is_bounded():
-    # At d = 1000 the ring of fill chunks holds a quarter of a block's
-    # budget (8 MB) and everything else but the block buffer of mapped
-    # draws is slice-sized: one score per draw for the inner route, half a
-    # block's budget (16 MB) of clipped vectors for the gradient. So the
-    # peak stays under one block's budget; whole-block temporaries took
+    # At d = 1000 the fill chunks take 1 MB a worker, at most a quarter of
+    # a block's budget (8 MB), and everything else but the block buffer of
+    # mapped draws is slice-sized: one score per draw for the inner route,
+    # half a block's budget (16 MB) of clipped vectors for the gradient. So
+    # the peak stays under one block's budget; whole-block temporaries took
     # 84 MB, and 5 000 unblocked clipped vectors alone take 40 MB.
     d = 1000
     v = np.zeros(d)
@@ -1012,6 +1020,30 @@ def test_ledger_bits_do_not_depend_on_the_worker_count(monkeypatch, problem, ste
     assert ledgers[0] == ledgers[1]
 
 
+def test_ledger_errors_surface_and_stop_the_other_workers(monkeypatch):
+    # A worker's error reaches the caller with its own message. No slice is
+    # handed out after it, so each of the other two workers scores at most
+    # the slice it already holds, not the rest of the 20; the next ledger
+    # keeps every bit.
+    traj = _ledger_run(MIXTURE, [0.0] * 10, steps=120)
+    score_block = diagnostics._score_block
+    slices = itertools.count(1)  # next() on it is atomic across threads
+
+    def failing(v2, A, a2, c, sign, n2, out):
+        if sign > 0.0 and next(slices) == 5:
+            raise RuntimeError("the fifth slice failed")
+        score_block(v2, A, a2, c, sign, n2, out)
+
+    with _pool_of(monkeypatch, 3):
+        want = _ledger_bytes(descent_ledger(traj, wasserstein=True))
+        monkeypatch.setattr(diagnostics, "_score_block", failing)
+        with pytest.raises(RuntimeError, match="the fifth slice failed"):
+            descent_ledger(traj, wasserstein=True)
+        assert next(slices) - 1 <= 5 + 2
+        monkeypatch.setattr(diagnostics, "_score_block", score_block)
+        assert _ledger_bytes(descent_ledger(traj, wasserstein=True)) == want
+
+
 def _fail_off_main(monkeypatch):
     """Wrap every public package function at every module that binds it
     to fail, and to log its name, when called off the main thread. The
@@ -1097,20 +1129,26 @@ def test_ledger_buffer_sets_are_capped_at_any_core_count(monkeypatch):
     finally:
         pool.shutdown()
     assert got == want
-    assert peak < (4 * diagnostics._SCORE_SETS + 4) * 8 * noise._SLICE_DOUBLES
+    assert peak < (4 * noise._SETS + 4) * 8 * noise._SLICE_DOUBLES
 
 
 def test_ledger_of_one_slice_or_one_worker_stays_on_the_calling_thread(monkeypatch):
     # example1's 3 atoms fit 10 000 steps into one slice; the mixture at
-    # 120 steps takes 20 slices, but one worker has no one to share them with
+    # 120 steps takes 20 slices, but one worker has no one to share them
+    # with. A Monte Carlo call of one fill chunk, or of 286 chunks on one
+    # worker, stays there too.
     def no_pool():
         raise AssertionError("the ledger handed work to the pool")
 
     monkeypatch.setattr(noise, "_pool", no_pool)
     assert descent_ledger(_ledger_run(make_example1(), [1.0], steps=10_000),
                           wasserstein=True).passed
+    whole = _mc_route("inner")
     monkeypatch.setattr(noise, "_workers", lambda: 1)
     assert descent_ledger(_ledger_run(MIXTURE, [0.0] * 10, steps=120), wasserstein=True).passed
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
+    monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)
+    assert _mc_route("inner") == whole
 
 
 @pytest.mark.parametrize("j", [-200, 200])
