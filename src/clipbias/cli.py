@@ -126,9 +126,21 @@ def _floats_arg(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from exc
 
 
-def _ints_arg(text):
+def _count_arg(low):
+    """An argparse type: an integer of at least ``low``."""
+
+    def count(text):
+        if int(text) < low:  # argparse reports a ValueError as an invalid value
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return count
+
+
+def _dims_arg(text):
+    """Comma-separated dimensions, each an integer >= 1."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [_count_arg(1)(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -424,7 +436,7 @@ def _build_parser():
     p = command("table1", cmd_table1, "perturbed clipped-inner grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--dims", type=_ints_arg, default=[1, 10, 100, 1000])
+    p.add_argument("--dims", type=_dims_arg, default=[1, 10, 100, 1000])
     p.add_argument("--ks", type=_floats_arg, default=[1, 10, 100])
     p.add_argument("--vnorm", type=float, default=10.0)
     p.add_argument("--extended", action="store_true", help="add d=10000 and k=1000")
@@ -442,8 +454,8 @@ def _build_parser():
     p.add_argument("--steps", type=int, help="default: 2000 on synthetic-mixture, else 10000")
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--x0", type=_floats_arg)
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--probes", type=_count_arg(0), default=8)
+    p.add_argument("--bins", type=_count_arg(1), default=50)
     p.add_argument("--wasserstein", choices=_TRANSPORT, default="auto")
 
     p = command("calibrate", cmd_calibrate, "noise scale for a privacy budget",

@@ -528,9 +528,10 @@ def _reflected_scores(V, emp, c, transport):
         e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
         e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
 
-    sets = [(np.empty((max(2, rows), N)),) + tuple(np.empty((rows, N)) for _ in range(3))
-            for _ in range(min(noise_mod._SETS, noise_mod._workers(), -(-T // rows)))]
-    noise_mod._share(lambda *buffers: next(starts, None), score, sets)
+    noise_mod._share(
+        lambda *buffers: next(starts, None), score, -(-T // rows),
+        lambda: [np.empty((max(2, rows), N))] + [np.empty((rows, N)) for _ in range(3)],
+    )
     return e_plus, e_minus, w_gap
 
 

@@ -17,9 +17,9 @@ how work is chunked across workers.
 The Monte Carlo routes and the descent ledger
 (``diagnostics._reflected_scores``) share their work out through one
 scheduler, :func:`_share`, on a process-wide pool of threads, one per
-core the process may run on: a route's fill chunks, drawn in stream
-order, or the ledger's row slices. Each chunk or slice is computed on
-its own, so no bit depends on the number of workers.
+core the process may run on: a route's row slices, drawn in stream
+order, or the ledger's. Each slice is computed on its own, so no bit
+depends on the number of workers.
 
 Norm probabilities ``P(||xi|| < r)`` are exact for every model (finite
 weight sums, chi-square, or noncentral chi-square), with an
@@ -63,13 +63,12 @@ _CHUNK_DOUBLES = 1 << 22
 # in L2 rather than from memory.
 _SLICE_DOUBLES = 1 << 16
 
-# Doubles (1 MB) of uniforms in one Monte Carlo fill chunk (whole slices of
-# one block, drawn, turned into normals and mapped by one worker), and of
-# noise in one block of optimizer steps.
+# Doubles (1 MB) of noise in one block of optimizer steps, which the step
+# loop reads from cache.
 _FILL_DOUBLES = 1 << 17
 
-# Buffer sets, and so workers, in one _share pass at most: a 1 MB fill
-# chunk each for a Monte Carlo route, four slice buffers (2 MB) each for
+# Buffer sets, and so workers, in one _share pass at most: a slice of
+# uniforms each for a Monte Carlo route, four slice buffers (2 MB) each for
 # the ledger. Pool threads beyond the sets stay idle.
 _SETS = 8
 
@@ -129,20 +128,21 @@ def _pool():
     return _POOL
 
 
-def _share(take, work, sets):
-    """Run ``work`` on every item that ``take`` hands out, one worker per
-    buffer set of ``sets``: the one scheduler of the pooled passes.
+def _share(take, work, items, make):
+    """Run ``work`` on every item of at most ``items`` that ``take`` hands
+    out, one worker per buffer set: the one scheduler of the pooled passes.
 
-    Set 0 is worked on the calling thread and every other set on a thread
-    of :func:`_pool`, so a single set never reaches the pool. A worker
-    calls ``take(*buffers)`` under one lock for its next item (``None``
-    when none is left), then ``work(item, *buffers)`` outside it. The
-    caller makes every buffer before any worker starts (buffers made on
-    the workers would each grow a malloc arena), so the sets, at most
-    ``_SETS``, bound the memory at any core count. Once a worker fails no
-    more items are handed out, and the first error is raised after every
-    worker has returned.
+    ``make()`` makes each set on this thread (buffers made on the workers
+    would each grow a malloc arena), one per core but at most ``_SETS``
+    and ``items``, so the sets bound the memory at any core count. Set 0
+    is worked on the calling thread and every other set on a thread of
+    :func:`_pool`, so a single set never reaches the pool. A worker calls
+    ``take(*buffers)`` under one lock for its next item (``None`` when
+    none is left), then ``work(item, *buffers)`` outside it. Once a worker
+    fails no more items are handed out, and the first error is raised
+    after every worker has returned.
     """
+    sets = [make() for _ in range(min(_SETS, _workers(), items))]
     lock = threading.Lock()
     errors = []
 
@@ -399,20 +399,21 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
 
     Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws, and the
     sums run once per block, so the bits depend on the block size alone.
-    Each block is cut into fill chunks of whole row slices (``_chunks``)
-    that :func:`_share` hands out, one chunk buffer per worker. Under the
-    hand-out lock a worker draws the next chunk from the one generator, so
-    the draws keep stream order; then it turns the chunk's normal columns
-    into normals in place and, while the chunk is still in its cache, maps
-    it in slices of at most ``_SLICE_DOUBLES`` (``_map_rows``) into one
-    block buffer of statistics, which this thread sums once the block is
-    done. The workers call private kernels only (see :func:`_pool`). The
-    projection is a row-local ``einsum`` per slice (``vectors._row_dots``):
-    a BLAS matrix-vector product's rows change in the last bit with the
-    row count, and its threads spin between calls. Each slice is mapped on
-    its own, so the draws equal one serial batch of ``mc_samples``, no bit
-    depends on the worker count, and a Generator passed in is continued as
-    that batch would continue it.
+    :func:`_share` hands out each block's row slices of at most
+    ``_SLICE_DOUBLES``, one slice buffer of uniforms per worker. Under the
+    hand-out lock a worker draws the next slice from the one generator,
+    so the draws keep stream order; then it turns the slice's normal
+    columns into normals in place and, while the slice is in its cache,
+    maps it (``_map_rows``, private kernels only: see :func:`_pool`) into
+    one block buffer, which this thread sums once the block is done. The
+    statistic of no draws shapes that buffer, so a bad input to the map
+    raises before anything is drawn. The projection is a row-local
+    ``einsum`` per slice (``vectors._row_dots``): a BLAS matrix-vector
+    product's rows change in the last bit with the row count, and its
+    threads spin between calls. Each slice is mapped on its own, so the
+    draws equal one serial batch of ``mc_samples``, no bit depends on the
+    worker count, and a Generator passed in is continued as that batch
+    would continue it.
     """
     if not mc_samples:
         raise ValueError(
@@ -428,43 +429,32 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     width = draw + model.dim
     block = min(count, max(1, _CHUNK_DOUBLES // width))
     rows = min(block, max(1, _SLICE_DOUBLES // width))
-    chunk = min(block, rows * max(1, _FILL_DOUBLES // (rows * draw)))
-    plan = _chunks(count, block, chunk)
-    end = 0  # the open block's rows once its last chunk is handed out
-    mapped = []  # the block buffer, made for the first slice's statistic
-    made = threading.Lock()
+    mapped = np.empty((block,) + _map_rows(model, np.empty((0, draw)), row_map, project).shape[1:])
 
     def take(u):
-        """Draw the open block's next chunk into ``u``."""
-        nonlocal end
-        if end:
+        """Draw the open block's next slice into ``u``."""
+        lo = next(slices, None)
+        if lo is None:
             return None
-        lo, n, ends_block = next(plan)
-        gen.random(out=u[:n])
-        if ends_block:
-            end = lo + n
-        return lo, u[:n]
+        u = u[:min(rows, size - lo)]
+        gen.random(out=u)
+        return lo, u
 
     def work(item, u):
-        """Turn a chunk's normal columns into normals, then map its slices
-        into the block buffer from row ``lo`` on."""
+        """Turn a slice's normal columns into normals, then map it into the
+        block buffer from row ``lo`` on."""
         lo, u = item
         _to_normals(u[:, 1:])
-        for at in range(0, u.shape[0], rows):
-            part = _map_rows(model, u[at:at + rows], row_map, project)
-            with made:
-                if not mapped:
-                    mapped.append(np.empty((block,) + part.shape[1:]))
-            mapped[0][lo + at:lo + at + part.shape[0]] = part
+        mapped[lo:lo + u.shape[0]] = _map_rows(model, u, row_map, project)
 
-    sets = [(np.empty((chunk, draw)),) for _ in range(min(_SETS, _workers(), -(-block // chunk)))]
     # -0.0 is the exact additive identity, so a single block sums as itself
     total = total_sq = -0.0
     power = 0  # both sums are scaled by 2 ** -power, the squares by its square
-    for _ in range(0, count, block):
-        _share(take, work, sets)
-        values = mapped[0][:end]
-        end = 0  # opens the next block
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        slices = iter(range(0, size, rows))
+        _share(take, work, -(-size // rows), lambda: (np.empty((rows, draw)),))
+        values = mapped[:size]
         top = max(values.max(), -values.min())
         grow = int(np.frexp(top)[1]) - power  # scaled, top is below 2^grow
         # powers of two scale exactly, so the running sums keep their bits;
@@ -489,16 +479,6 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     if np.ndim(mean) == 0:
         return float(mean), float(se)
     return mean, se
-
-
-def _chunks(count, block, chunk):
-    """The Monte Carlo fill plan, made lazily so that it takes no memory:
-    ``(first row in its block, rows, whether it ends its block)`` of each
-    chunk of ``count`` draws cut into blocks of ``block`` draws."""
-    for start in range(0, count, block):
-        size = min(block, count - start)
-        for lo in range(0, size, chunk):
-            yield lo, min(chunk, size - lo), lo + chunk >= size
 
 
 def _map_rows(model, u, row_map, project):

@@ -121,7 +121,7 @@ def cosine_histogram(rows, reference, bins=50):
     if np.any(row_norms == 0.0):
         raise ValueError("ensemble contains a zero row; cosines undefined")
     cosines = np.clip((rows @ reference) / (row_norms * ref_norm), -1.0, 1.0)
-    edges = np.linspace(-1.0, 1.0, int(bins) + 1)
+    edges = _edges(-1.0, 1.0, bins)
     counts, _ = np.histogram(cosines, bins=edges)
     return Histogram(edges=edges, counts=counts)
 
@@ -196,6 +196,12 @@ def _axis_edges(values, bins):
         lo -= 0.5
         hi += 0.5
     margin = 0.05 * (hi - lo)
-    lo -= margin
-    hi += margin
-    return np.linspace(lo, hi, int(bins) + 1)
+    return _edges(lo - margin, hi + margin, bins)
+
+
+def _edges(lo, hi, bins):
+    """Edges of ``bins`` equal bins from ``lo`` to ``hi``; none would score any cloud 0."""
+    bins = int(bins)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    return np.linspace(lo, hi, bins + 1)

@@ -140,6 +140,10 @@ def test_config_file_may_name_every_option(tmp_path, monkeypatch, command, file_
     ("examples", {"which": "2", "step": 5}),  # a key names a whole flag
     ("examples", {"which": "2", "stepz": None}),
     ("table2", {"help": True}),
+    ("diagnose", {"problem": "example1", "bins": 0}),  # no bins would score any cloud 0.0
+    ("table1", {"dims": [0]}),
+    ("table1", {"dims": [-3]}),
+    ("diagnose", {"problem": "example1", "probes": -1}),
 ])
 def test_ill_typed_config_values_are_rejected(tmp_path, command, file_cfg):
     cfg = tmp_path / "cfg.json"

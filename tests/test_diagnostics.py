@@ -166,23 +166,30 @@ def _record_sample_counts(monkeypatch):
 
 
 def _record_blocks(monkeypatch):
-    """Patch noise._chunks, the fill plan of noise._mc_moments, to log the
-    draws its chunks add up to in each block: one list per call."""
+    """Patch noise._mc_moments and noise._share, which it calls once per
+    block, to log the draws its slices add up to in each block: one list
+    per call."""
     calls = []
-    chunks = noise._chunks
+    mc_moments, share = noise._mc_moments, noise._share
 
-    def logged(count, block, chunk):
-        blocks = []
-        calls.append(blocks)
-        filled = 0
-        for lo, n, ends_block in chunks(count, block, chunk):
-            filled += n
-            if ends_block:
-                blocks.append(filled)
-                filled = 0
-            yield lo, n, ends_block
+    def logged_moments(*args, **kwargs):
+        calls.append([])
+        return mc_moments(*args, **kwargs)
 
-    monkeypatch.setattr(noise, "_chunks", logged)
+    def logged_share(take, work, items, make):
+        rows = []
+
+        def counted(*buffers):
+            item = take(*buffers)  # under the hand-out lock
+            if item is not None:
+                rows.append(item[1].shape[0])
+            return item
+
+        share(counted, work, items, make)
+        calls[-1].append(sum(rows))
+
+    monkeypatch.setattr(noise, "_mc_moments", logged_moments)
+    monkeypatch.setattr(noise, "_share", logged_share)
     return calls
 
 
@@ -266,27 +273,27 @@ def test_monte_carlo_projection_above_8192_dims_moves_no_bits(monkeypatch):
 
 @pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm"])
 def test_monte_carlo_fill_moves_no_bits(monkeypatch, route):
-    # Each draw takes 3 uniforms, so with 7-row slices these fill budgets
-    # give chunks of 1, 2 and 10 slices (the last chunk of a 200-row block
-    # is cut short). Whatever the chunks, the set cap or the number of
-    # workers, every chunk holds its own draws and the block sums see the
-    # same values, so no bit moves. Three workers, more than the cores, and
-    # a short switch interval stress the reuse of chunk buffers.
-    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
+    # Each draw takes 5 doubles, so these slice budgets give 7-, 14-, 21-
+    # and 70-row slices (the last slice of a 200-row block is cut short)
+    # under set caps of 1, 8, 3 and 8, against 1-row slices on the calling
+    # thread. Whatever the slices, the cap or the number of workers, every
+    # slice holds its own draws and the block sums see the same values, so
+    # no bit moves. Three workers, more than the cores, and a short switch
+    # interval stress the reuse of slice buffers.
     pools = [ThreadPoolExecutor(1), ThreadPoolExecutor(3)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for chunk in (noise._CHUNK_DOUBLES, 1000):
             monkeypatch.setattr(noise, "_CHUNK_DOUBLES", chunk)
-            monkeypatch.setattr(noise, "_FILL_DOUBLES", 1 << 17)
-            monkeypatch.setattr(noise, "_SETS", 8)
+            monkeypatch.setattr(noise, "_SLICE_DOUBLES", 5)
+            monkeypatch.setattr(noise, "_SETS", 1)
             whole = _mc_route(route)
             for workers, pool in zip((1, 3), pools):
                 monkeypatch.setattr(noise, "_workers", lambda workers=workers: workers)
                 monkeypatch.setattr(noise, "_POOL", pool)
-                for fill, sets in ((21, 1), (21, 8), (42, 3), (210, 8)):
-                    monkeypatch.setattr(noise, "_FILL_DOUBLES", fill)
+                for slice_doubles, sets in ((35, 1), (70, 8), (105, 3), (350, 8)):
+                    monkeypatch.setattr(noise, "_SLICE_DOUBLES", slice_doubles)
                     monkeypatch.setattr(noise, "_SETS", sets)
                     for got, want in zip(_mc_route(route), whole):
                         np.testing.assert_array_equal(got, want)
@@ -303,12 +310,11 @@ def test_monte_carlo_continues_a_generator(monkeypatch, generator):
     # A Generator, Philox-backed or not, with a part-used buffer is
     # continued exactly: the estimate is the mean over its next serial
     # draws, and it is left where drawing them serially leaves it. With
-    # three workers the pool threads draw chunks too, under the hand-out
+    # three workers the pool threads draw slices too, under the hand-out
     # lock.
     v = np.array([0.4, -0.1])
     model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
-    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 50)  # ten-draw slices,
-    monkeypatch.setattr(noise, "_FILL_DOUBLES", 30)  # one per fill chunk
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 50)  # ten-draw slices
     for workers in (1, 3):
         gen, serial = generator(), generator()
         gen.integers(2**32, dtype=np.uint32)  # leaves half a 64-bit output
@@ -323,25 +329,36 @@ def test_monte_carlo_continues_a_generator(monkeypatch, generator):
         assert gen.integers(2**32, dtype=np.uint32) == serial.integers(2**32, dtype=np.uint32)
 
 
+def test_monte_carlo_refuses_a_bad_clip_before_drawing():
+    # The statistic of no draws is mapped first, so a negative c raises
+    # before a Generator passed in has moved.
+    v = [0.4, -0.1]
+    model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
+    gen, fresh = SeededStream(6, 0).generator(), SeededStream(6, 0).generator()
+    for route in (expected_clipped_inner, expected_clipped_gradient):
+        with pytest.raises(ValueError, match="clip threshold"):
+            route(v, model, -1.0, stream=gen, mc_samples=2000)
+    assert np.array_equal(gen.random(9), fresh.random(9))
+
+
 def test_monte_carlo_errors_surface_and_leave_the_pool_clean(monkeypatch):
     # A worker's error reaches the caller with its own message, and so does
-    # one raised while mapping; no chunk is handed out after it, so each of
-    # the other two workers transforms at most the chunk it already holds,
+    # one raised while mapping; no slice is handed out after it, so each of
+    # the other two workers transforms at most the slice it already holds,
     # and the next call gives the same bits as before.
     whole = _mc_route("inner")
-    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
-    monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)  # 286 seven-row chunks
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)  # 286 seven-row slices
     to_normals = noise._to_normals
     transforms = itertools.count(1)  # next() on it is atomic across threads
 
     def failing(u):
         if next(transforms) == 6:
-            raise RuntimeError("the sixth chunk failed")
+            raise RuntimeError("the sixth slice failed")
         to_normals(u)
 
     monkeypatch.setattr(noise, "_to_normals", failing)
     with _pool_of(monkeypatch, 3):
-        with pytest.raises(RuntimeError, match="the sixth chunk failed"):
+        with pytest.raises(RuntimeError, match="the sixth slice failed"):
             _mc_route("inner")
         assert next(transforms) - 1 <= 6 + 2
         monkeypatch.setattr(noise, "_to_normals", to_normals)
@@ -363,12 +380,12 @@ def test_monte_carlo_errors_surface_and_leave_the_pool_clean(monkeypatch):
 
 
 def test_monte_carlo_block_memory_is_bounded():
-    # At d = 1000 the fill chunks take 1 MB a worker, at most a quarter of
-    # a block's budget (8 MB), and everything else but the block buffer of
-    # mapped draws is slice-sized: one score per draw for the inner route,
-    # half a block's budget (16 MB) of clipped vectors for the gradient. So
-    # the peak stays under one block's budget; whole-block temporaries took
-    # 84 MB, and 5 000 unblocked clipped vectors alone take 40 MB.
+    # At d = 1000 the slice buffers take 256 KB a worker, 2 MB at most, and
+    # everything else but the block buffer of mapped draws is slice-sized:
+    # one score per draw for the inner route, half a block's budget (16 MB)
+    # of clipped vectors for the gradient. So the peak stays under one
+    # block's budget; whole-block temporaries took 84 MB, and 5 000
+    # unblocked clipped vectors alone take 40 MB.
     d = 1000
     v = np.zeros(d)
     v[0] = 10.0
@@ -970,6 +987,7 @@ def _pool_of(monkeypatch, workers):
     finally:
         if noise._POOL is not None:
             noise._POOL.shutdown()
+        noise._POOL = None  # a later pooled call makes a new pool
 
 
 def test_ledger_memory_is_a_few_slice_buffers(monkeypatch):
@@ -1090,12 +1108,11 @@ def _pooled_route(route):
 
 @pytest.mark.parametrize("route", ["inner", "gradient", "mixture", "norm", "wide"])
 def test_monte_carlo_pool_threads_call_no_public_function(monkeypatch, route):
-    # One-row chunks of the wide route, 286 seven-row chunks of the others,
+    # One-row slices of the wide route, 286 seven-row slices of the others,
     # each turned into normals and mapped on a pool worker: the clips and
     # norms there are private kernels, and three workers give the bits of
     # one.
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
-    monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)
     with _pool_of(monkeypatch, 1):
         want = _pooled_route(route)
     off_main = _fail_off_main(monkeypatch)
@@ -1135,7 +1152,7 @@ def test_ledger_buffer_sets_are_capped_at_any_core_count(monkeypatch):
 def test_ledger_of_one_slice_or_one_worker_stays_on_the_calling_thread(monkeypatch):
     # example1's 3 atoms fit 10 000 steps into one slice; the mixture at
     # 120 steps takes 20 slices, but one worker has no one to share them
-    # with. A Monte Carlo call of one fill chunk, or of 286 chunks on one
+    # with. A Monte Carlo call of one slice, or of 286 slices on one
     # worker, stays there too.
     def no_pool():
         raise AssertionError("the ledger handed work to the pool")
@@ -1147,7 +1164,6 @@ def test_ledger_of_one_slice_or_one_worker_stays_on_the_calling_thread(monkeypat
     monkeypatch.setattr(noise, "_workers", lambda: 1)
     assert descent_ledger(_ledger_run(MIXTURE, [0.0] * 10, steps=120), wasserstein=True).passed
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 35)
-    monkeypatch.setattr(noise, "_FILL_DOUBLES", 21)
     assert _mc_route("inner") == whole
 
 

@@ -54,6 +54,22 @@ def test_symmetry_score_one_for_disjoint_cloud():
     assert score > 0.95
 
 
+def test_no_bins_are_refused():
+    # No bins would histogram nothing: a disjoint cloud would score a
+    # perfect 0.0, and every histogram would be empty.
+    pts = np.abs(np.random.default_rng(3).normal(size=(200, 2))) + 0.5
+    rows = np.array([[1.0, 0.5], [-0.5, 2.0]])
+    for bins in (0, -3):
+        with pytest.raises(ValueError, match="bins"):
+            symmetry_score(pts, bins=bins)
+        with pytest.raises(ValueError, match="bins"):
+            Histogram.from_values(pts[:, 0], bins=bins)
+        with pytest.raises(ValueError, match="bins"):
+            cosine_histogram(rows, [1.0, 1.0], bins=bins)
+        with pytest.raises(ValueError, match="bins"):
+            gradient_ensemble_stats(rows, [1.0, 1.0], 1.0, bins=bins)
+
+
 def test_symmetry_score_range_and_negation_invariance():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(500, 2)) + 0.3
