@@ -42,6 +42,7 @@ from .optimizers import OptimizerConfig, clipped_sgd, dp_sgd_perturbed
 from .privacy import PrivacyBudget, calibrate_sigma, check_epsilon_regime
 from .problems import QuadraticProblem, problem_by_name
 from .probes import ProjectionProbe, cosine_histogram, gradient_ensemble_stats, project2d, symmetry_score
+from .vectors import norm
 
 
 class CliError(Exception):
@@ -121,9 +122,16 @@ def _config_argv(path):
 
 def _floats_arg(text):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return _nonempty([float(tok) for tok in text.split(",") if tok.strip() != ""], text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from exc
+
+
+def _nonempty(values, text):
+    """The values of a list flag; an empty grid would run as an empty table."""
+    if not values:  # argparse names the flag in the message
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    return values
 
 
 def _count_arg(low):
@@ -140,7 +148,7 @@ def _count_arg(low):
 def _dims_arg(text):
     """Comma-separated dimensions, each an integer >= 1."""
     try:
-        return [_count_arg(1)(tok) for tok in text.split(",") if tok.strip() != ""]
+        return _nonempty([_count_arg(1)(tok) for tok in text.split(",") if tok.strip() != ""], text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -380,7 +388,7 @@ def cmd_wasserstein(cfg, argv):
     w_qp = wasserstein_clip(v, c, q, p)
     w_self = wasserstein_clip(v, c, p, p)
     bias = clipping_bias(v, p, q, c)
-    cap = c * float(np.linalg.norm(v))
+    cap = c * norm(v)
     checks = {
         "nonnegative": bool(w >= -1e-12),
         "self_distance_zero": bool(w_self <= 1e-12),

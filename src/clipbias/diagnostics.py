@@ -25,7 +25,9 @@ import numpy as np
 from . import noise as noise_mod
 from ._files import write_csv
 from .noise import IsotropicGaussian, SphericalMixture, prob_norm_below
-from .vectors import _check_threshold, _clip_rows, as_vector, clip_batch, norm, row_norms
+from .vectors import (
+    _check_threshold, _clip_rows, _cosines, _row_dots, as_vector, clip_batch, norm, row_norms,
+)
 
 __all__ = [
     "CheckFailure",
@@ -70,7 +72,7 @@ def clip_scores(v, noises, c):
     A 1-D ``noises`` holds scalar noises, so it needs a 1-D ``v``.
     """
     v = as_vector(v)
-    return _clip_shifted(v, noises, c) @ v
+    return _row_dots(_clip_shifted(v, noises, c), v)
 
 
 def _clip_shifted(v, noises, c):
@@ -83,14 +85,6 @@ def _clip_shifted(v, noises, c):
     return clip_batch(v[None, :] + noises, c)
 
 
-def _clip_shifted_map(v, model, c):
-    """The Monte Carlo row map xi -> clip(v + xi, c) of draws of ``model``,
-    whose dim is checked here once. It runs on pool threads, so it calls
-    the clip's private body (see ``noise._pool``)."""
-    _check_dims(v, model.dim)
-    return lambda xi: _clip_rows(v + xi, c)
-
-
 def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     """E[s(xi)] for xi ~ model, as ``(value, std_error)``.
 
@@ -101,15 +95,20 @@ def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
     if not (mc_samples or model.scales.any()):
         scores = clip_scores(v, model.centers, c)
         return float(_weighted_sum(scores, model.weights)), 0.0
-    return noise_mod._mc_moments(model, stream, mc_samples, _clip_shifted_map(v, model, c), v)
+    _check_dims(v, model.dim)
+    return noise_mod._mc_moments(
+        model, stream, mc_samples, lambda xi: _row_dots(_clip_rows(v + xi, c), v)
+    )
 
 
 def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
     """E[clip(v + xi, c)] as ``(vector, std_error_vector)``."""
     v = as_vector(v)
     if not (mc_samples or model.scales.any()):
-        return model.weights @ _clip_shifted(v, model.centers, c), np.zeros(v.shape[0])
-    return noise_mod._mc_moments(model, stream, mc_samples, _clip_shifted_map(v, model, c))
+        clipped = np.ascontiguousarray(_clip_shifted(v, model.centers, c).T)
+        return _weighted_sum(clipped, model.weights), np.zeros(v.shape[0])
+    _check_dims(v, model.dim)
+    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_rows(v + xi, c))
 
 
 def assert_symmetric(model):
@@ -178,7 +177,7 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         raise ValueError(
             f"component means average to {mean.tolist()}, not to v={v.tolist()}"
         )
-    inners = mix.centers @ v
+    inners = _row_dots(mix.centers, v)
     if np.any(inners < -1e-12):
         bad = int(np.argmin(inners))
         raise ValueError(
@@ -189,11 +188,13 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
     lower = 0.0
     if nv != 0.0:
         aligned = cnorms != 0.0  # a zero center has no direction and adds nothing
-        cos_align = inners[aligned] / (cnorms[aligned] * nv)
+        cos_align = _cosines(mix.centers[aligned], v)
         terms = mix.weights[aligned] * np.minimum(cnorms[aligned], (1.0 - z) * c) * cos_align
         lower = nv * float(np.sum(terms * prob_terms[aligned]))
 
-    est, se = noise_mod._mc_moments(mix, stream, mc_samples, lambda g: _clip_rows(g, c), v)
+    est, se = noise_mod._mc_moments(
+        mix, stream, mc_samples, lambda g: _row_dots(_clip_rows(g, c), v)
+    )
     report = BoundReport(
         estimate=est,
         std_error=se,
@@ -424,13 +425,13 @@ def descent_ledger(trajectory, z=0.25, wasserstein=None):
 
     V = trajectory.gradients[:T]
     G = trajectory.clipped_means
-    grad_norms = np.linalg.norm(V, axis=1)
+    grad_norms = row_norms(V)
     if wasserstein is None:
         wasserstein = p.atoms.shape[0] <= 512 or T <= 200
     e_p, e_reflected, w_reflected = _reflected_scores(V, p, c, wasserstein)
     e_pt = 0.5 * (e_p + e_reflected)
     bias = e_p - e_pt
-    realized = np.einsum("td,td->t", V, G)
+    realized = _row_dots(V, G)
 
     # reflection keeps every norm, so p and ptilde share this probability
     prob = prob_norm_below(p, z * c)[0]
@@ -505,8 +506,8 @@ def _reflected_scores(V, emp, c, transport):
     weights = emp.weights
     T = V.shape[0]
     N = atoms.shape[0]
-    v2 = np.einsum("td,td->t", V, V)[:, None]
-    a2 = np.einsum("nd,nd->n", atoms, atoms)
+    v2 = _row_dots(V, V)[:, None]
+    a2 = _row_dots(atoms, atoms)
     right = np.ascontiguousarray(atoms.T)
     e_plus = np.empty(T)
     e_minus = np.empty(T)

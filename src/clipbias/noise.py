@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import _norms, _row_dots, row_norms
+from .vectors import _norms, row_norms
 
 # scipy.special and scipy.stats are imported where they are used: together
 # they take about 70 of the 100 MB that importing the package would
@@ -389,12 +389,12 @@ def prob_norm_below(model, radius, stream=None, mc_samples=0):
     return _prob_norm_exact(model, radius), 0.0
 
 
-def _mc_moments(model, stream, mc_samples, row_map, project=None):
+def _mc_moments(model, stream, mc_samples, row_map):
     """Monte Carlo mean and standard error of a per-draw statistic.
 
     ``row_map`` maps draws of ``model``, shape ``(rows, dim)``, to one
-    value or one vector per row; with ``project`` the statistic is that
-    vector's dot product with ``project``. The result is ``(mean,
+    value or one vector per row, projecting them by the row-local
+    ``vectors._row_dots`` where a route projects. The result is ``(mean,
     std_error)`` of the statistic's shape.
 
     Blocks hold at most ``_CHUNK_DOUBLES`` uniforms plus draws, and the
@@ -404,16 +404,18 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     hand-out lock a worker draws the next slice from the one generator,
     so the draws keep stream order; then it turns the slice's normal
     columns into normals in place and, while the slice is in its cache,
-    maps it (``_map_rows``, private kernels only: see :func:`_pool`) into
+    maps it (``row_map`` runs private kernels only: see :func:`_pool`) into
     one block buffer, which this thread sums once the block is done. The
     statistic of no draws shapes that buffer, so a bad input to the map
-    raises before anything is drawn. The projection is a row-local
-    ``einsum`` per slice (``vectors._row_dots``): a BLAS matrix-vector
-    product's rows change in the last bit with the row count, and its
-    threads spin between calls. Each slice is mapped on its own, so the
+    raises before anything is drawn. Each slice is mapped on its own, so the
     draws equal one serial batch of ``mc_samples``, no bit depends on the
     worker count, and a Generator passed in is continued as that batch
     would continue it.
+
+    Each block's squared deviations from its mean are summed in two passes
+    over the block buffer, and the blocks merged by the pairwise update of
+    Chan, Golub & LeVeque (1983): a sum of squares less the squared mean
+    would cancel the spread of values whose mean dwarfs it.
     """
     if not mc_samples:
         raise ValueError(
@@ -429,7 +431,7 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
     width = draw + model.dim
     block = min(count, max(1, _CHUNK_DOUBLES // width))
     rows = min(block, max(1, _SLICE_DOUBLES // width))
-    mapped = np.empty((block,) + _map_rows(model, np.empty((0, draw)), row_map, project).shape[1:])
+    mapped = np.empty((block,) + row_map(model._from_rows(np.empty((0, draw)))).shape[1:])
 
     def take(u):
         """Draw the open block's next slice into ``u``."""
@@ -445,11 +447,12 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
         block buffer from row ``lo`` on."""
         lo, u = item
         _to_normals(u[:, 1:])
-        mapped[lo:lo + u.shape[0]] = _map_rows(model, u, row_map, project)
+        mapped[lo:lo + u.shape[0]] = row_map(model._from_rows(u))
 
     # -0.0 is the exact additive identity, so a single block sums as itself
-    total = total_sq = -0.0
-    power = 0  # both sums are scaled by 2 ** -power, the squares by its square
+    total = -0.0
+    shift = shifted = m2 = 0.0  # shifted: the sum of the deviations from the shift
+    power = 0  # the sums are scaled by 2 ** -power, m2 by its square
     for start in range(0, count, block):
         size = min(block, count - start)
         slices = iter(range(0, size, rows))
@@ -460,33 +463,29 @@ def _mc_moments(model, stream, mc_samples, row_map, project=None):
         # powers of two scale exactly, so the running sums keep their bits;
         # sums are scaled up only while empty, lest a square overflow
         if 0.0 < top < np.inf and not -_SQUARE_EXP < grow <= _SQUARE_EXP and (
-            grow > 0 or not np.any(total_sq)
+            grow > 0 or not (np.any(total) or np.any(m2))
         ):
-            total = np.ldexp(total, -grow)
-            total_sq = np.ldexp(total_sq, -2 * grow)
+            total, shift, shifted = (np.ldexp(x, -grow) for x in (total, shift, shifted))
+            m2 = np.ldexp(m2, -2 * grow)
             power += grow
-        # squared in place: a block of clipped vectors is half the budget
         if power:
             np.ldexp(values, -power, out=values)
-        total = total + values.sum(axis=0)
-        total_sq = total_sq + np.multiply(values, values, out=values).sum(axis=0)
-    scaled = total / count
-    mean = np.ldexp(scaled, power)
-    var = np.maximum(total_sq / count - scaled * scaled, 0.0)
-    if count > 1:
-        var = var * (count / (count - 1))
-    se = np.ldexp(np.sqrt(var / count), power)
+        block_sum = values.sum(axis=0)
+        total = total + block_sum
+        if not start:
+            shift = block_sum / size  # the first block's mean
+        # centered and squared in place: a block of clipped vectors is half the budget
+        dev = np.subtract(values, shift, out=values)
+        dev_sum = dev.sum(axis=0)
+        block_m2 = np.multiply(dev, dev, out=dev).sum(axis=0) - dev_sum / size * dev_sum
+        gap = dev_sum / size - shifted / start if start else 0.0  # its mean less the others'
+        m2 = m2 + block_m2 + gap * gap * (start * size / (start + size))
+        shifted = shifted + dev_sum
+    mean = np.ldexp(total / count, power)
+    se = np.ldexp(np.sqrt(np.maximum(m2, 0.0) / max(count - 1, 1) / count), power)
     if np.ndim(mean) == 0:
         return float(mean), float(se)
     return mean, se
-
-
-def _map_rows(model, u, row_map, project):
-    """The statistic of the draws in one slice of filled rows ``u``."""
-    part = row_map(model._from_rows(u))
-    if project is not None:
-        part = _row_dots(part, project)
-    return part
 
 
 def _prob_norm_exact(model, radius):

@@ -27,7 +27,7 @@ from . import noise as noise_mod
 from ._files import write_csv
 from .noise import SeededStream, normals_from_uniforms
 from .privacy import calibrate_sigma
-from .vectors import as_vector, clip_batch
+from .vectors import as_vector, clip_batch, row_norms
 
 __all__ = [
     "OptimizerConfig",
@@ -127,8 +127,8 @@ class Trajectory:
         write_csv(path, ["step", "f", "grad_norm", "clipped_mean_norm", "distance_to_opt"], [
             np.arange(self.steps + 1),
             values,
-            np.linalg.norm(gradients, axis=1),
-            np.append(np.linalg.norm(self.clipped_means, axis=1), np.nan),
+            row_norms(gradients),
+            np.append(row_norms(self.clipped_means), np.nan),
             distances,
         ])
 

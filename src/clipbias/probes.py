@@ -14,7 +14,7 @@ import numpy as np
 
 from ._files import write_csv
 from .noise import SeededStream, normals_from_uniforms
-from .vectors import as_vector, clip_batch
+from .vectors import _cosines, _row_dots, as_vector, clip_batch, row_norms
 
 __all__ = [
     "ProjectionProbe",
@@ -111,19 +111,12 @@ class Histogram:
 
 
 def cosine_histogram(rows, reference, bins=50):
-    """Histogram over [-1, 1] of cos(row, reference) for each row."""
+    """Histogram over [-1, 1] of cos(row, reference) for each row, by
+    ``vectors.cosine``'s rule; a zero row or reference raises."""
     reference = as_vector(reference)
-    rows = _as_rows(rows, reference.shape[0])
-    ref_norm = float(np.linalg.norm(reference))
-    if ref_norm == 0.0:
-        raise ValueError("reference gradient is zero; cosines undefined")
-    row_norms = np.linalg.norm(rows, axis=1)
-    if np.any(row_norms == 0.0):
-        raise ValueError("ensemble contains a zero row; cosines undefined")
-    cosines = np.clip((rows @ reference) / (row_norms * ref_norm), -1.0, 1.0)
+    cosines = _cosines(_as_rows(rows, reference.shape[0]), reference)
     edges = _edges(-1.0, 1.0, bins)
-    counts, _ = np.histogram(cosines, bins=edges)
-    return Histogram(edges=edges, counts=counts)
+    return Histogram(edges=edges, counts=np.histogram(cosines, bins=edges)[0])
 
 
 @dataclass(frozen=True)
@@ -159,17 +152,12 @@ def gradient_ensemble_stats(rows, reference, c, bins=50):
     """
     reference = as_vector(reference)
     rows = _as_rows(rows, reference.shape[0])
-    c = float(c)
-    if c <= 0.0:
-        raise ValueError(f"clip threshold must be > 0, got {c}")
-    noise = rows - reference[None, :]
-    noise_norms = np.linalg.norm(noise, axis=1)
-    inner = rows @ reference
-    clipped_inner = clip_batch(rows, c) @ reference
+    noise_norms = row_norms(rows - reference[None, :])
+    inner = _row_dots(rows, reference)
     return EnsembleStats(
-        grad_norm=Histogram.from_values(np.linalg.norm(rows, axis=1), bins),
+        grad_norm=Histogram.from_values(row_norms(rows), bins),
         noise_norm=Histogram.from_values(noise_norms, bins),
-        clipped_inner=Histogram.from_values(clipped_inner, bins),
+        clipped_inner=Histogram.from_values(_row_dots(clip_batch(rows, c), reference), bins),
         inner=Histogram.from_values(inner, bins),
         fraction_noise_below_quarter_clip=float(np.mean(noise_norms < c / 4.0)),
         mean_inner=float(np.mean(inner)),

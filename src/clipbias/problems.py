@@ -14,7 +14,7 @@ and a 10-D synthetic Gaussian-mixture dataset.
 import numpy as np
 
 from .noise import Empirical, SeededStream, normals_from_uniforms
-from .vectors import as_vector
+from .vectors import _row_dots, as_vector, row_norms
 
 __all__ = [
     "QuadraticProblem",
@@ -87,8 +87,8 @@ class QuadraticProblem:
         and keep a pass over T iterates O(T * dim).
         """
         diffs = points - self.optimum
-        sq = np.einsum("td,td->t", diffs, diffs)
-        return diffs, 0.5 * sq + self.value(self.optimum), np.sqrt(sq)
+        sq = _row_dots(diffs, diffs)
+        return diffs, 0.5 * sq + self.value(self.optimum), row_norms(diffs)
 
     def noise_residuals(self):
         """Per-sample gradient noise as an empirical model.

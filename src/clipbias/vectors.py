@@ -2,7 +2,9 @@
 
 Vectors are 1-D float64 numpy arrays. Validation happens once at the
 public boundary; batch helpers operate on row-stacked arrays and are
-used by the samplers and optimizers.
+used by the samplers and optimizers. Every norm, cosine and row dot
+product in the package is taken here, by one rule each: equal quantities
+get equal bits, and a row's value reads its row alone.
 
 The clip operator enforces two exact guarantees that plain
 ``g * min(1, c / norm(g))`` does not give under IEEE rounding:
@@ -40,8 +42,8 @@ def row_norms(rows):
     """Euclidean norm of each row.
 
     The single canonical reduction for norms in this package: the clip
-    cap is enforced against this exact function, and BLAS-backed
-    alternatives can disagree with it in the last ulp.
+    cap is enforced against it and every reported norm is taken by it.
+    BLAS-backed alternatives can disagree with it in the last ulp.
     """
     return _norms(np.asarray(rows, dtype=np.float64))[0]
 
@@ -49,7 +51,7 @@ def row_norms(rows):
 def _norms(rows):
     """``row_norms`` of a float64 array, and their maximum (0.0 for no
     rows, NaN when a row holds a NaN)."""
-    norms = _einsum_norms(rows) if rows.shape[1] <= 8192 else np.sqrt(_row_dots(rows, rows))
+    norms = np.sqrt(_row_dots(rows, rows))
     # A norm above ~1.3e154 overflows in the squares, and one below 2^-511
     # loses bits to their underflow. The maximum finds the inf and NaN
     # norms and the minimum the small ones; a dot product of the norms
@@ -108,11 +110,18 @@ def cosine(a, b):
     b = as_vector(b)
     if a.shape != b.shape:
         raise ValueError(f"dim mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na, nb = row_norms(np.stack([a, b]))
-    if na == 0.0 or nb == 0.0:
+    return float(_cosines(a[None, :], b)[0])
+
+
+def _cosines(rows, reference):
+    """Cosines of the float64 rows with ``reference``, clamped to [-1, 1] and
+    taken between unit vectors: huge vectors' dot would overflow, tiny ones'
+    underflow."""
+    norms = _norms(rows)[0]
+    length = _norms(reference[None, :])[0][0]
+    if length == 0.0 or not norms.all():
         raise ValueError("cosine is undefined for the zero vector")
-    # unit vectors first: the dot of two huge vectors would overflow
-    return float(np.clip(np.dot(a / na, b / nb), -1.0, 1.0))
+    return np.clip(_row_dots(rows / norms[:, None], reference / length), -1.0, 1.0)
 
 
 def clip(g, c):
@@ -163,12 +172,6 @@ def _clip_rows(rows, c):
     return _nudge(out, c)
 
 
-def _einsum_norms(rows):
-    """Norms of rows of at most 8192 columns by one einsum: ``row_norms``
-    where every norm lies in ``[2^-511, inf)``."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
 def _nudge(out, c):
     """Pull the rows of ``out`` whose norm still exceeds ``c`` after a
     rescale back under it, in place, and return ``out``.
@@ -178,12 +181,12 @@ def _nudge(out, c):
     or under ``c``; rows still over after four rounds step towards zero one
     ulp at a time. So the norm cap is exact, and the operator is exactly
     idempotent (a second pass changes nothing). With ``c`` in
-    ``[2^-510, 2^511)`` and at most 8192 columns the einsum alone takes the
-    norms: it gives ``row_norms``'s bits for every row near ``c``, and a row
-    whose einsum norm is below ``2^-511`` is under ``c`` by either measure.
+    ``[2^-510, 2^511)`` the root of the row dots alone takes the norms: it
+    gives ``row_norms``'s bits for every row near ``c``, and a row whose
+    root is below ``2^-511`` is under ``c`` by either measure.
     """
-    in_band = 2.0 * _NORM_FLOOR <= c < 2.0 ** 511 and out.shape[1] <= 8192
-    norms_of = _einsum_norms if in_band else lambda rows: _norms(rows)[0]
+    in_band = 2.0 * _NORM_FLOOR <= c < 2.0 ** 511
+    norms_of = (lambda r: np.sqrt(_row_dots(r, r))) if in_band else (lambda r: _norms(r)[0])
     for _ in range(4):
         norms = norms_of(out)
         if not np.maximum.reduce(norms, initial=0.0) > c:

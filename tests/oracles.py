@@ -164,3 +164,15 @@ def transport_cost_lp(values_a, weights_a, values_b, weights_b):
     res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def std_error_two_pass(values):
+    """Standard error of the mean of ``values`` in two exactly rounded
+    passes: the mean by ``math.fsum``, then the sum of squared deviations
+    from it, less the square of their sum over the count."""
+    values = [float(x) for x in values]
+    n = len(values)
+    mean = math.fsum(values) / n
+    dev = [x - mean for x in values]
+    m2 = math.fsum(d * d for d in dev) - math.fsum(dev) ** 2 / n
+    return math.sqrt(m2 / (n - 1) / n)

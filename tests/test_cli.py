@@ -144,6 +144,9 @@ def test_config_file_may_name_every_option(tmp_path, monkeypatch, command, file_
     ("table1", {"dims": [0]}),
     ("table1", {"dims": [-3]}),
     ("diagnose", {"problem": "example1", "probes": -1}),
+    ("table1", {"dims": []}),  # an empty grid would write a table of no rows
+    ("table1", {"ks": []}),
+    ("table2", {"norms": []}),
 ])
 def test_ill_typed_config_values_are_rejected(tmp_path, command, file_cfg):
     cfg = tmp_path / "cfg.json"
@@ -168,6 +171,8 @@ def test_config_lists_run_as_their_flags(tmp_path):
           "--x0=-1,0,0.5,0,0,0,0,0,0,2", "--wasserstein", "off")),
         ({"dims": [1, 10], "ks": [1, 10], "samples": 2000, "extended": False}, ("table1",),
          ("table1", "--dims", "1,10", "--ks", "1,10", "--samples", 2000)),
+        ({"dims": [1], "ks": [1], "samples": 20, "extended": True}, ("table1",),
+         ("table1", "--dims", 1, "--ks", 1, "--samples", 20, "--extended")),
     ]
     for idx, (file_cfg, from_file, flags) in enumerate(runs):
         cfg.write_text(json.dumps(file_cfg))
@@ -182,6 +187,10 @@ def test_config_lists_run_as_their_flags(tmp_path):
         eff_a = _read_json(a / "metadata.json")["effective_config"]
         eff_b = _read_json(b / "metadata.json")["effective_config"]
         assert {**eff_a, "out": None} == {**eff_b, "out": None}
+    # the switch adds d = 10000 and k = 1000 to the grid
+    with open(a / "table1.csv") as fh:
+        cells = [(row["d"], row["k"]) for row in csv.DictReader(fh)]
+    assert cells == [("1", "1.0"), ("1", "1000.0"), ("10000", "1.0"), ("10000", "1000.0")]
 
 
 def test_table1_small_grid(tmp_path):

@@ -49,7 +49,9 @@ from clipbias.problems import (
 from oracles import (
     censored_mean_quadrature,
     expected_clipped_inner_enum,
+    mixture_draws,
     phi_cdf,
+    std_error_two_pass,
     transport_cost_lp,
 )
 
@@ -116,6 +118,17 @@ def test_clip_scores_hand_values():
     assert np.allclose(got, [1.0, -1.0, 1.0], atol=1e-15)
 
 
+def test_clip_scores_read_each_row_alone():
+    # Every seventh of the mixture's residual atoms, 1429 rows in 10-D: a
+    # BLAS matrix-vector product would round most rows' scores differently
+    # from the same row scored alone.
+    atoms = MIXTURE.noise_residuals().atoms[::7]
+    v = MIXTURE.full_gradient(np.full(10, 0.5))
+    scores = clip_scores(v, atoms, 1.0)
+    alone = np.array([clip_scores(v, atom[None], 1.0)[0] for atom in atoms])
+    assert scores.tobytes() == alone.tobytes()
+
+
 def test_expected_inner_matches_enumeration():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -152,16 +165,16 @@ def test_expected_inner_monte_carlo_route_agrees():
 
 
 def _record_sample_counts(monkeypatch):
-    """Patch noise._map_rows, which maps one slice of Monte Carlo draws, to
-    log (model, draws) of every call."""
+    """Patch SphericalMixture._from_rows, which builds the draws of one
+    slice of Monte Carlo uniforms, to log (model, draws) of every call."""
     calls = []
-    map_rows = noise._map_rows
+    from_rows = SphericalMixture._from_rows
 
-    def logged(model, u, row_map, project):
+    def logged(model, u):
         calls.append((model, u.shape[0]))
-        return map_rows(model, u, row_map, project)
+        return from_rows(model, u)
 
-    monkeypatch.setattr(noise, "_map_rows", logged)
+    monkeypatch.setattr(SphericalMixture, "_from_rows", logged)
     return calls
 
 
@@ -329,6 +342,44 @@ def test_monte_carlo_continues_a_generator(monkeypatch, generator):
         assert gen.integers(2**32, dtype=np.uint32) == serial.integers(2**32, dtype=np.uint32)
 
 
+def test_monte_carlo_draws_its_slices_in_stream_order(monkeypatch):
+    # The worker that holds the first slice maps it only once another worker
+    # has mapped the second: a slice drawn outside the hand-out lock would
+    # then take the stream's first draws for the second slice. Drawn under
+    # it, every slice holds its serial uniforms, and the estimate is the mean
+    # of the serial draws.
+    v = np.array([0.4, -0.1])
+    model = perturb(Empirical([[2.0, 1.0], [-1.0, 0.5]]), 2.0)
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 50)  # ten-draw slices
+    share = noise._share
+    slices = {}
+
+    def second_slice_first(take, work, items, make):
+        second = threading.Event()
+
+        def held(item, *buffers):
+            lo, u = item
+            if lo == 0:
+                assert second.wait(timeout=60), "no other worker mapped the second slice"
+            work(item, *buffers)
+            slices[lo] = u[:, 0].copy()  # the uniforms that picked the components
+            if lo == 10:
+                second.set()
+
+        share(take, held, items, make)
+
+    monkeypatch.setattr(noise, "_share", second_slice_first)
+    serial = SeededStream(6, 0).generator().random((2000, model.rows_per_draw))[:, 0]
+    draws = model.sample(SeededStream(6, 0), 2000)
+    for route, values in ((expected_clipped_inner, clip_scores(v, draws, 1.0)),
+                          (expected_clipped_gradient, diagnostics.clip_batch(v + draws, 1.0))):
+        slices.clear()
+        with _pool_of(monkeypatch, 3):
+            mean, _ = route(v, model, 1.0, stream=SeededStream(6, 0), mc_samples=2000)
+        assert np.concatenate([slices[lo] for lo in sorted(slices)]).tobytes() == serial.tobytes()
+        np.testing.assert_array_equal(mean, (-0.0 + values.sum(axis=0)) / 2000)
+
+
 def test_monte_carlo_refuses_a_bad_clip_before_drawing():
     # The statistic of no draws is mapped first, so a negative c raises
     # before a Generator passed in has moved.
@@ -362,19 +413,19 @@ def test_monte_carlo_errors_surface_and_leave_the_pool_clean(monkeypatch):
             _mc_route("inner")
         assert next(transforms) - 1 <= 6 + 2
         monkeypatch.setattr(noise, "_to_normals", to_normals)
-        map_rows = noise._map_rows
+        from_rows = SphericalMixture._from_rows
         seen = []
 
-        def bad_map(model, u, row_map, project):
+        def bad_map(model, u):
             seen.append(u.shape[0])
             if len(seen) == 4:
                 raise ValueError("the fourth slice is bad")
-            return map_rows(model, u, row_map, project)
+            return from_rows(model, u)
 
-        monkeypatch.setattr(noise, "_map_rows", bad_map)
+        monkeypatch.setattr(SphericalMixture, "_from_rows", bad_map)
         with pytest.raises(ValueError, match="the fourth slice is bad"):
             _mc_route("inner")
-        monkeypatch.setattr(noise, "_map_rows", map_rows)
+        monkeypatch.setattr(SphericalMixture, "_from_rows", from_rows)
         for got, want in zip(_mc_route("inner"), whole):
             np.testing.assert_array_equal(got, want)
 
@@ -448,6 +499,22 @@ def test_monte_carlo_std_error_of_huge_scores(monkeypatch):
     )
     assert mean == pytest.approx(values.mean(), rel=1e-12)
     assert se == pytest.approx(values.std(ddof=1) / math.sqrt(32), rel=1e-12)
+    # Scores whose mean dwarfs their spread: a block's sum of squares less
+    # its squared mean would cancel the spread away (to 0.0 at 1e6). The
+    # 200 000 draws take two blocks; the estimate's error agrees with the
+    # two-pass error of the same scores, rebuilt from the same stream.
+    monkeypatch.undo()
+    model = IsotropicGaussian(1.0, 10)
+    for nv in (1e2, 1e4, 1e6):
+        v = np.zeros(10)
+        v[0] = nv
+        mean, se = expected_clipped_inner(v, model, 1.0, stream=SeededStream(0, 0),
+                                          mc_samples=200_000)
+        draws = mixture_draws(SeededStream(0, 0).generator(), 200_000, model.weights,
+                              model.centers, model.scales)
+        scores = clip_scores(v, draws, 1.0)
+        assert mean == pytest.approx(scores.mean(), rel=1e-15)
+        assert se == pytest.approx(std_error_two_pass(scores), rel=1e-10), nv
 
 
 def test_expected_inner_monotone_in_gradient_norm():

@@ -289,3 +289,11 @@ def test_trajectory_csv_layout(tmp_path):
         cells = [float(row[col]) for row in rows if row[col] != ""]
         # repr(float) parses back to the same double, bit for bit
         assert np.array(cells).tobytes() == values.tobytes()
+    # Every Hessian of the 10-D mixture is I, so the gradient at x_t is
+    # x_t - x* and its norm is the distance to the optimum: one norm rule
+    # gives the two cells the same text on every row.
+    traj = clipped_sgd(make_synthetic_mixture(), _cfg(alpha=0.015, steps=200, x0=[0.0] * 10))
+    traj.to_csv(out)
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 201
+    assert [row[2] for row in rows] == [row[4] for row in rows]

@@ -164,3 +164,20 @@ def test_ensemble_stats_single_sample_degenerate():
     assert stats.grad_norm.total == 1
     assert stats.noise_norm.counts.argmax() >= 0  # zero-width data still bins
     assert stats.mean_inner == pytest.approx(2.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_probes_take_tiny_and_huge_rows(scale):
+    # The norms and cosines of rows whose squares underflow or overflow
+    # come from their power-of-two rescale, so nothing warns (the suite
+    # runs with warnings as errors), no row reads as zero, and rescaling
+    # the rows by a power of two keeps every cosine count.
+    rows = np.array([[scale, 0.0], [1.0, 1.0], [-2.0, 0.5], [0.25, -3.0]])
+    ref = np.array([1.0, 0.0])
+    counts = cosine_histogram(rows, ref, bins=10).counts
+    assert counts.sum() == 4 and counts[-1] >= 1
+    for j in (-300, 300):
+        assert np.array_equal(cosine_histogram(np.ldexp(rows, j), ref, bins=10).counts, counts)
+    stats = gradient_ensemble_stats(rows, ref, c=1.0)
+    assert stats.grad_norm.edges[-1] > stats.grad_norm.edges[0]
+    assert all(h.total == 4 for h in stats.histograms().values())
