@@ -287,8 +287,8 @@ def cmd_diagnose(cfg, argv):
 
     final = traj.iterates[-1]
     rows = problem.batch_gradients(final)
-    ref = problem.full_gradient(final)
-    residuals = rows - ref[None, :]
+    ref = problem.full_gradient(final)  # the mean of the rows summarized below
+    residuals = problem.noise_residuals().atoms  # the cloud the ledger audits
     probe_scores = {}
     for i in range(cfg["probes"]):
         probe_seed = cfg["seed"] * 1000 + i

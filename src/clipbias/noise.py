@@ -290,11 +290,8 @@ class Empirical(SphericalMixture):
         return self.centers
 
     def to_json_dict(self):
-        return {
-            "dim": int(self.dim),
-            "atoms": [[float(x) for x in row] for row in self.atoms],
-            "weights": [float(w) for w in self.weights],
-        }
+        atoms, weights = self.atoms.tolist(), self.weights.tolist()
+        return {"dim": int(self.dim), "atoms": atoms, "weights": weights}
 
     @classmethod
     def from_json_dict(cls, payload):

@@ -118,7 +118,7 @@ class Trajectory:
         return self.problem.closed_forms(self.iterates)[2]
 
     def final_distance(self):
-        return float(self.distances[-1])
+        return float(self.problem.closed_forms(self.iterates[-1:])[2][0])
 
     def to_csv(self, path):
         """One row per iterate; the clipped-mean column on row t is the
@@ -139,7 +139,7 @@ def clipped_sgd(problem, config):
         raise ValueError("clipped_sgd requires sigma = 0; use dp_sgd")
     if config.k != 0.0:
         raise ValueError("clipped_sgd requires k = 0; use dp_sgd_perturbed")
-    return _single_run(problem, config, sigma=0.0, k=0.0)
+    return _recorded_runs(problem, config, 0.0, 0.0, [config.seed])[0]
 
 
 def dp_sgd(problem, config, budget=None):
@@ -150,12 +150,13 @@ def dp_sgd(problem, config, budget=None):
     """
     if config.k != 0.0:
         raise ValueError("dp_sgd requires k = 0; use dp_sgd_perturbed")
-    return _single_run(problem, config, sigma=_resolve_sigma(config, budget), k=0.0)
+    return _recorded_runs(problem, config, _resolve_sigma(config, budget), 0.0, [config.seed])[0]
 
 
 def dp_sgd_perturbed(problem, config, budget=None):
     """DP-SGD with fresh per-sample noise k * zeta added before clipping."""
-    return _single_run(problem, config, sigma=_resolve_sigma(config, budget), k=config.k)
+    sigma = _resolve_sigma(config, budget)
+    return _recorded_runs(problem, config, sigma, config.k, [config.seed])[0]
 
 
 def final_iterates(problem, config, seeds, budget=None):
@@ -205,10 +206,6 @@ def dp_step_size(gap, dim, budget, c, smoothness=1.0):
     return float(num / (budget.n * budget.epsilon * c * np.sqrt(smoothness)))
 
 
-def _single_run(problem, config, sigma, k):
-    return _recorded_runs(problem, config, sigma, k, [config.seed])[0]
-
-
 def _recorded_runs(problem, config, sigma, k, seeds):
     if not seeds:
         return []
@@ -254,7 +251,7 @@ def _engine(problem, config, sigma, k, seeds, record):
         xs = np.empty((T + 1, R, d))
         xs[0] = X
         gms = np.empty((T, R, d))
-    centers = problem.centers
+    gradients = problem._gradients
 
     block = max(1, noise_mod._FILL_DOUBLES // max(1, R * m * d))
     # Each block's draws go into these buffers, one seed's rows at a time,
@@ -276,10 +273,7 @@ def _engine(problem, config, sigma, k, seeds, record):
             Z *= sigma
         for b in range(B):
             t = lo + b
-            if subsample:
-                grads = X[:, None, :] - centers[idx[:, b, :]]
-            else:
-                grads = X[:, None, :] - centers[None, :, :]
+            grads = gradients(X[:, None, :], idx[:, b] if subsample else None)
             if k > 0.0:
                 grads = grads + zeta[:, b]
             try:

@@ -29,14 +29,18 @@ class QuadraticProblem:
     """Mean of per-sample quadratics 0.5 * ||x - a_i||^2."""
 
     def __init__(self, centers):
-        centers = np.asarray(centers, dtype=np.float64)
+        centers = np.array(centers, dtype=np.float64)  # a copy, which the caller cannot write
         if centers.ndim == 1:
             centers = centers[:, None]
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ValueError(f"centers must be a non-empty (n, dim) array, got {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers have non-finite components")
+        centers.flags.writeable = False  # so the optimum computed below cannot go stale
         self.centers = centers
+        self.optimum = centers.mean(axis=0)
+        self.optimum.flags.writeable = False
+        self._optimal_value = self.value(self.optimum)
 
     @property
     def n(self):
@@ -47,37 +51,35 @@ class QuadraticProblem:
         return self.centers.shape[1]
 
     @property
-    def optimum(self):
-        return self.centers.mean(axis=0)
-
-    @property
     def smoothness(self):
         # Each per-sample Hessian is the identity.
         return 1.0
 
     def value(self, x):
         x = self._check_point(x)
-        return float(0.5 * np.mean(np.sum((x - self.centers) ** 2, axis=1)))
+        return float(0.5 * np.mean(np.sum(self._gradients(x, None) ** 2, axis=1)))
 
     def full_gradient(self, x):
         """Mean of the per-sample gradients, computed as that mean so the
         equality with ``batch_gradients(x).mean(0)`` is exact."""
-        x = self._check_point(x)
-        return (x - self.centers).mean(axis=0)
+        return self._gradients(self._check_point(x), None).mean(axis=0)
 
     def per_sample_gradient(self, x, i):
         x = self._check_point(x)
         i = int(i)
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range for n={self.n}")
-        return x - self.centers[i]
+        return self._gradients(x, i)
 
     def batch_gradients(self, x, idx=None):
         """Per-sample gradients as rows; all samples when ``idx`` is None."""
         x = self._check_point(x)
-        if idx is None:
-            return x - self.centers
-        return x - self.centers[np.asarray(idx, dtype=np.intp)]
+        return self._gradients(x, None if idx is None else np.asarray(idx, dtype=np.intp))
+
+    def _gradients(self, points, idx):
+        """The family's one per-sample gradient rule ``x - a_i``, unchecked: ``points``
+        broadcast against the centers ``idx`` picks (all of them when None)."""
+        return points - (self.centers if idx is None else self.centers[idx])
 
     def closed_forms(self, points):
         """Full gradients, values and distances to the optimum at each row.
@@ -88,19 +90,19 @@ class QuadraticProblem:
         """
         diffs = points - self.optimum
         sq = _row_dots(diffs, diffs)
-        return diffs, 0.5 * sq + self.value(self.optimum), row_norms(diffs)
+        return diffs, 0.5 * sq + self._optimal_value, row_norms(diffs)
 
     def noise_residuals(self):
         """Per-sample gradient noise as an empirical model.
 
-        Residuals (per-sample gradient minus full gradient) equal
-        ``mean(centers) - a_i`` for every query point in this family,
-        so they are computed from the centers alone.
+        Residuals (per-sample gradient minus full gradient) equal the
+        per-sample gradients at the optimum, ``mean(centers) - a_i``, for
+        every query point in this family, so they are computed there.
         """
-        return Empirical(self.optimum - self.centers)
+        return Empirical(self._gradients(self.optimum, None))
 
     def gap_to_optimum(self, x0):
-        return self.value(x0) - self.value(self.optimum)
+        return self.value(x0) - self._optimal_value
 
     def to_json_dict(self):
         return Empirical(self.centers).to_json_dict()

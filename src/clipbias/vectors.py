@@ -177,9 +177,9 @@ def _nudge(out, c):
     rescale back under it, in place, and return ``out``.
 
     Rounding can leave a rescaled norm a few ulps above c. Each round
-    multiplies every row by ``c / max(norm, c)``, exactly 1.0 for a row at
-    or under ``c``; rows still over after four rounds step towards zero one
-    ulp at a time. So the norm cap is exact, and the operator is exactly
+    multiplies only the rows still over ``c`` by ``c / norm`` and measures
+    them again; rows still over after four rounds step towards zero one ulp
+    at a time. So the norm cap is exact, and the operator is exactly
     idempotent (a second pass changes nothing). With ``c`` in
     ``[2^-510, 2^511)`` the root of the row dots alone takes the norms: it
     gives ``row_norms``'s bits for every row near ``c``, and a row whose
@@ -187,15 +187,20 @@ def _nudge(out, c):
     """
     in_band = 2.0 * _NORM_FLOOR <= c < 2.0 ** 511
     norms_of = (lambda r: np.sqrt(_row_dots(r, r))) if in_band else (lambda r: _norms(r)[0])
+    norms = norms_of(out)
+    if not np.maximum.reduce(norms, initial=0.0) > c:
+        return out
+    over = np.flatnonzero(norms > c)
+    norms = norms[over]
     for _ in range(4):
-        norms = norms_of(out)
-        if not np.maximum.reduce(norms, initial=0.0) > c:
+        out[over] *= (c / norms)[:, None]
+        norms = norms_of(out[over])
+        over, norms = over[norms > c], norms[norms > c]
+        if not over.size:
             return out
-        out *= (c / np.maximum(norms, c))[:, None]
-    bad = norms_of(out) > c
-    while bad.any():
-        out[bad] = np.nextafter(out[bad], 0.0)
-        bad = norms_of(out) > c
+    while over.size:
+        out[over] = np.nextafter(out[over], 0.0)
+        over = over[norms_of(out[over]) > c]
     return out
 
 

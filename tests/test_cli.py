@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import clipbias
+from clipbias import cli
 from clipbias.cli import main
+from clipbias.probes import ProjectionProbe, symmetry_score
 from clipbias.problems import make_synthetic_mixture
 
 
@@ -254,6 +256,31 @@ def test_diagnose_problem_from_json_file(tmp_path):
     assert summary["ledger"]["corollary_ok"]
     assert summary["ledger"]["mean_bias"] == 0.0
     assert summary["probe_symmetry"] == {}  # one sample: nothing to score
+
+
+def test_diagnose_probes_the_ledgers_residual_cloud(tmp_path, monkeypatch):
+    # The residual_origin probes project noise_residuals(), the cloud the
+    # ledger audits, and not the final iterate's rows minus their mean,
+    # which differ from it in the last bits.
+    projected = []
+    real = cli.project2d
+
+    def recording(points, probe):
+        projected.append(np.asarray(points))
+        return real(points, probe)
+
+    monkeypatch.setattr(cli, "project2d", recording)
+    out = tmp_path / "diag"
+    code = _run("diagnose", "--problem", "synthetic-mixture", "--steps", 20, "--probes", 2,
+                "--wasserstein", "off", "--out", out)
+    assert code == 0
+    atoms = make_synthetic_mixture(seed=0).noise_residuals().atoms
+    assert sum(points.tobytes() == atoms.tobytes() for points in projected) == 2
+    scores = _read_json(out / "summary.json")["probe_symmetry"]
+    assert len(scores) == 2
+    for seed, score in scores.items():
+        probe = ProjectionProbe.random(10, int(seed))
+        assert score["residual_origin"] == symmetry_score(real(atoms, probe), bins=50)
 
 
 def test_wasserstein_command(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -292,6 +293,14 @@ def test_json_round_trip():
     assert np.array_equal(back.weights, model.weights)
     with pytest.raises((ValueError, KeyError)):
         Empirical.from_json_dict({"dim": 2, "atoms": [[1.0]]})
+    # the dumped text is that of the per-element float lists
+    model = Empirical([[0.1, -0.0], [1 / 3, 5e-324], [-1e300, 2.0]], weights=[0.25, 0.5, 0.25])
+    per_element = {
+        "dim": 2,
+        "atoms": [[float(x) for x in row] for row in model.atoms],
+        "weights": [float(w) for w in model.weights],
+    }
+    assert json.dumps(model.to_json_dict()) == json.dumps(per_element)
 
 
 def _norm_estimate(queue):

@@ -16,7 +16,12 @@ from clipbias.optimizers import (
     trajectories,
 )
 from clipbias.privacy import PrivacyBudget
-from clipbias.problems import make_example1, make_example2, make_synthetic_mixture
+from clipbias.problems import (
+    QuadraticProblem,
+    make_example1,
+    make_example2,
+    make_synthetic_mixture,
+)
 
 
 def _cfg(**kw):
@@ -204,6 +209,49 @@ def test_final_iterates_match_single_runs_above_8192_dims():
     batch = final_iterates(problem, cfg, seeds)
     for row, seed in zip(batch, seeds):
         assert np.array_equal(row, dp_sgd_perturbed(problem, replace(cfg, seed=seed)).iterates[-1])
+
+
+class _Doubled(QuadraticProblem):
+    """Per-sample gradients 2 (x - a_i): clipping them at c is twice
+    clipping x - a_i at c / 2, and every factor of 2 is exact."""
+
+    def _gradients(self, points, idx):
+        return 2.0 * super()._gradients(points, idx)
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_runs_take_the_problems_gradient_rule(batch):
+    # The engine reads the per-sample gradients from the problem's one rule,
+    # so a subclass's rule drives every run: with gradients 2 (x - a_i) at
+    # (alpha, c, sigma) the iterates are those of x - a_i at
+    # (2 alpha, c / 2, sigma / 2), bit for bit.
+    centers = make_synthetic_mixture(seed=4, n=30, dim=3).centers
+    doubled, plain = _Doubled(centers), QuadraticProblem(centers)
+    cfg = _cfg(alpha=0.01, steps=200, x0=[2.0, -1.0, 0.5], batch=batch)
+    half = replace(cfg, alpha=0.02, clip=0.5)
+    assert np.array_equal(clipped_sgd(doubled, cfg).iterates, clipped_sgd(plain, half).iterates)
+    assert np.array_equal(final_iterates(doubled, replace(cfg, sigma=0.5), [3, 5]),
+                          final_iterates(plain, replace(half, sigma=0.25), [3, 5]))
+    x = np.array([0.5, 0.25, -1.0])
+    assert np.array_equal(doubled.batch_gradients(x, [0, 7, 7]),
+                          2.0 * plain.batch_gradients(x, [0, 7, 7]))
+
+
+def test_closed_forms_make_no_pass_over_the_samples(tmp_path, monkeypatch):
+    # The optimum and the optimal value are computed once, with the problem:
+    # a trajectory's closed forms, its CSV and its final distance read them.
+    traj = clipped_sgd(make_synthetic_mixture(seed=4, n=30, dim=3), _cfg(x0=[2.0, -1.0, 0.5]))
+    want = traj.problem.closed_forms(traj.iterates)
+
+    def no_pass(*args):
+        raise AssertionError("a pass over the samples")
+
+    monkeypatch.setattr(QuadraticProblem, "value", no_pass)
+    monkeypatch.setattr(QuadraticProblem, "_gradients", no_pass)
+    for got, expected in zip(traj.problem.closed_forms(traj.iterates), want):
+        assert np.array_equal(got, expected)
+    traj.to_csv(tmp_path / "trajectory.csv")
+    assert traj.final_distance() == want[2][-1]
 
 
 def test_final_iterates_memory_is_a_cache_sized_noise_block():

@@ -82,6 +82,21 @@ def test_gap_to_optimum():
     assert p.gap_to_optimum([1.0]) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_centers_are_a_read_only_copy():
+    # The optimum and the optimal value are computed once, with the problem,
+    # so neither the caller's array nor a write can change the centers
+    # under them.
+    centers = np.array([-3.0, -3.0, 9.0])
+    p = QuadraticProblem(centers)
+    centers[2] = 0.0
+    assert np.array_equal(p.optimum, [1.0])
+    assert p.gap_to_optimum([1.0]) == 0.0
+    for stored in (p.centers, p.optimum):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 5.0
+    assert np.array_equal(p.centers[:, 0], [-3.0, -3.0, 9.0])
+
+
 def test_synthetic_mixture_reproducible():
     a = make_synthetic_mixture(seed=9)
     b = make_synthetic_mixture(seed=9)

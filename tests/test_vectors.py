@@ -182,6 +182,31 @@ def test_clip_of_a_fortran_batch_keeps_the_cap():
     assert np.array_equal(vectors.clip_batch(out, 1.0), out)
 
 
+def test_nudge_rounds_measure_only_the_rows_over_c(monkeypatch):
+    # These rows need three nudge rounds at c = 7.5. The first nudge
+    # measurement reads every rescaled row; each later one reads only the
+    # rows the one before found over c, and a row at or under c is never
+    # multiplied again.
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(200, 100)) * rng.lognormal(size=(200, 1)) * 22.5
+    calls = []
+    real = vectors._row_dots
+
+    def recording(a, b):
+        dots = real(a, b)
+        calls.append(dots)
+        return dots
+
+    monkeypatch.setattr(vectors, "_row_dots", recording)
+    out = vectors.clip_batch(rows, 7.5)
+    monkeypatch.undo()
+    # the canonical norms, the first nudge measurement and two more rounds
+    assert len(calls) >= 4 and len(calls[1]) == len(rows)
+    for before, after in zip(calls[1:], calls[2:]):
+        assert len(after) == np.count_nonzero(np.sqrt(before) > 7.5) < len(before)
+    assert out.tobytes() == clip_batch_guarded(rows, 7.5).tobytes()
+
+
 def test_clip_preserves_direction_and_lands_near_boundary():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(500, 4)) * 10.0
