@@ -432,35 +432,36 @@ def _build_parser():
         return p
 
     p = command("examples", cmd_examples, "run the divergence/correction demos")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
     p.add_argument("--which", required=True, choices=_EXAMPLES)
     p.add_argument("--alpha", type=float, help="default: set by --which")
     p.add_argument("--k", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--steps", type=int, help="default: set by --which")
-    p.add_argument("--batch", type=int, help="default: the full data set")
+    p.add_argument("--steps", type=_count_arg(1), help="default: set by --which")
+    p.add_argument("--batch", type=_count_arg(1), help="default: the full data set")
     p.add_argument("--x0", type=_floats_arg)
 
     p = command("table1", cmd_table1, "perturbed clipped-inner grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
+    p.add_argument("--samples", type=_count_arg(0), default=100000)
     p.add_argument("--dims", type=_dims_arg, default=[1, 10, 100, 1000])
     p.add_argument("--ks", type=_floats_arg, default=[1, 10, 100])
     p.add_argument("--vnorm", type=float, default=10.0)
     p.add_argument("--extended", action="store_true", help="add d=10000 and k=1000")
 
     p = command("table2", cmd_table2, "symmetric lower-bound check table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
+    p.add_argument("--samples", type=_count_arg(0), default=100000)
     p.add_argument("--norms", type=_floats_arg, default=[0.05, 0.1, 1.0, 2.0, 10.0, 100.0])
 
     p = command("diagnose", cmd_diagnose, "trajectory ledger plus ensemble probes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count_arg(0), default=0)
     p.add_argument("--problem", required=True,
                    help="example1, example2, synthetic-mixture, or a problem JSON file")
     p.add_argument("--alpha", type=float, help="default: 1/sqrt(steps)")
-    p.add_argument("--steps", type=int, help="default: 2000 on synthetic-mixture, else 10000")
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--steps", type=_count_arg(1),
+                   help="default: 2000 on synthetic-mixture, else 10000")
+    p.add_argument("--batch", type=_count_arg(1), default=1)
     p.add_argument("--x0", type=_floats_arg)
     p.add_argument("--probes", type=_count_arg(0), default=8)
     p.add_argument("--bins", type=_count_arg(1), default=50)

@@ -482,8 +482,12 @@ def _reflected_scores(V, emp, c, transport):
 
     Each row slice of ``_SLICE_DOUBLES`` pairs takes its product, is
     scored for both signs, and has its transport distances and weighted
-    sums taken while it is in cache, through four slice buffers. A
-    one-row product would be a GEMV, whose bits differ from a GEMM's, so
+    sums taken while it is in cache, through four slice buffers: the
+    product, one work buffer and one score buffer per sign. One call of
+    :func:`_score_signs` scores both signs in 17 passes over the slice,
+    and the weighted sums take four more, multiplying the scores by the
+    weights in place, as nothing reads them after the transport
+    distances. A one-row product would be a GEMV, whose bits differ from a GEMM's, so
     it is taken as the last row of a two-row GEMM. The sums go through
     :func:`_weighted_sum`, not a BLAS GEMV, whose rounding follows the row
     and thread counts. A row's sum and transport distance read that row
@@ -520,14 +524,13 @@ def _reflected_scores(V, emp, c, transport):
         e = min(T, s + rows)
         left = V[s:e] if e - s > 1 else V[[s, s]]
         A = np.matmul(left, right, out=product[:left.shape[0]])[-(e - s):]
-        s_plus, s_minus, scratch = plus[:e - s], minus[:e - s], work[:e - s]
-        with np.errstate(divide="ignore"):
-            _score_block(v2[s:e], A, a2, c, 1.0, scratch, s_plus)
-            _score_block(v2[s:e], A, a2, c, -1.0, scratch, s_minus)
+        s_plus, s_minus = plus[:e - s], minus[:e - s]
+        _score_signs(v2[s:e], A, a2, c, work[:e - s], s_plus, s_minus)
         if transport:
             w_gap[s:e] = _transport_rows(s_plus, weights, s_minus, weights)
-        e_plus[s:e] = _weighted_sum(s_plus, weights, scratch)
-        e_minus[s:e] = _weighted_sum(s_minus, weights, scratch)
+        # the scores are not read again, so their products go in place
+        e_plus[s:e] = _weighted_sum(s_plus, weights, s_plus)
+        e_minus[s:e] = _weighted_sum(s_minus, weights, s_minus)
 
     noise_mod._share(
         lambda *buffers: next(starts, None), score, -(-T // rows),
@@ -550,25 +553,40 @@ def _weighted_sum(values, weights, scratch=None):
     return np.multiply(values, weights, out=scratch).sum(axis=-1)
 
 
-def _score_block(v2, A, a2, c, sign, n2, out):
-    """Scores s(sign * a) of a slice of rows into ``out``, in place.
+def _score_signs(v2, A, a2, c, work, plus, minus):
+    """Scores s(a) into ``plus`` and s(-a) into ``minus`` for a slice of
+    rows, in place.
 
     ``A`` holds <v, a> for every (row, atom) pair and ``v2``, ``a2`` the
-    squared norms; ``n2`` (scratch) and ``out`` are buffers of ``A``'s
-    shape. A pair with v + xi = 0 scores 0.
+    squared norms; ``work``, ``plus`` and ``minus`` are buffers of ``A``'s
+    shape, and ``A`` and ``work`` are overwritten. Both signs share one
+    ``2 <v, a>``: ``v2 - 2A`` has the bits of ``v2 + A * -2``, as
+    negation and doubling are exact. A pair with v + xi = 0 scores 0;
+    the clamp of rounding dust to 0 and the mask of such pairs are
+    skipped when every squared norm of the slice is above 0 (a NaN fails
+    that test and takes them).
     """
-    np.multiply(A, 2.0 * sign, out=n2)
-    np.add(v2, n2, out=n2)
-    np.add(n2, a2, out=n2)
-    np.maximum(n2, 0.0, out=n2)
-    (np.add if sign > 0.0 else np.subtract)(v2, A, out=out)
-    at_origin = None if n2.all() else n2 == 0.0
-    np.sqrt(n2, out=n2)
-    np.divide(c, n2, out=n2)
-    np.minimum(n2, 1.0, out=n2)
-    np.multiply(out, n2, out=out)
-    if at_origin is not None:
-        out[at_origin] = 0.0
+    np.multiply(A, 2.0, out=work)
+    np.add(v2, work, out=plus)
+    np.add(plus, a2, out=plus)
+    np.subtract(v2, work, out=minus)
+    np.add(minus, a2, out=minus)
+    np.add(v2, A, out=work)  # <v, v + a>
+    np.subtract(v2, A, out=A)  # <v, v - a>
+    clamp = not (plus.min() > 0.0 and minus.min() > 0.0)
+    with np.errstate(divide="ignore"):  # a pair at the origin, zeroed below
+        for n2, inner in ((plus, work), (minus, A)):
+            at_origin = None
+            if clamp:
+                np.maximum(n2, 0.0, out=n2)
+                if not n2.all():
+                    at_origin = n2 == 0.0
+            np.sqrt(n2, out=n2)
+            np.divide(c, n2, out=n2)
+            np.minimum(n2, 1.0, out=n2)
+            np.multiply(inner, n2, out=n2)
+            if at_origin is not None:
+                n2[at_origin] = 0.0
 
 
 def _check_atoms(*models):

@@ -3,12 +3,14 @@
 Everything here is deliberately written against a different code path than
 the package: plain math/erf for the normal CDF, adaptive quadrature for the
 censored mean, a linear-program transport solver, pure-Python fsum
-enumeration for expected clipped inner products, and the clip operator
-built from boolean gathers over ``row_norms`` with its own nudge loop.
-Tests compare package output against these, never against the package
-itself.
+enumeration for expected clipped inner products, the clip operator
+built from boolean gathers over ``row_norms`` with its own nudge loop, the
+ledger's scores one sign at a time, and CSV files cell by cell through the
+``csv`` module. Tests compare package output against these, never against
+the package itself.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -176,3 +178,51 @@ def std_error_two_pass(values):
     dev = [x - mean for x in values]
     m2 = math.fsum(d * d for d in dev) - math.fsum(dev) ** 2 / n
     return math.sqrt(m2 / (n - 1) / n)
+
+
+def score_block(v2, A, a2, c, sign):
+    """Scores s(sign * a) of a slice of rows, one sign per call: the
+    expansion <v, v + xi> * min(1, c/||v + xi||) with
+    ||v + xi||^2 = v2 + 2 sign A + a2, clamped at 0, and 0 for a pair with
+    v + xi = 0.
+
+    ``A`` holds <v, a> for every (row, atom) pair, ``v2`` (a column) and
+    ``a2`` the squared norms. Written as ten whole-slice operations; the
+    package fuses both signs.
+    """
+    n2 = np.multiply(A, 2.0 * sign)
+    np.add(v2, n2, out=n2)
+    np.add(n2, a2, out=n2)
+    np.maximum(n2, 0.0, out=n2)
+    out = (np.add if sign > 0.0 else np.subtract)(v2, A)
+    at_origin = None if n2.all() else n2 == 0.0
+    np.sqrt(n2, out=n2)
+    with np.errstate(divide="ignore"):
+        np.divide(c, n2, out=n2)
+    np.minimum(n2, 1.0, out=n2)
+    np.multiply(out, n2, out=out)
+    if at_origin is not None:
+        out[at_origin] = 0.0
+    return out
+
+
+def csv_cell(value):
+    """One CSV cell: blank for None or NaN, ``str`` for an int, the text
+    itself for a string, and ``repr(float)`` for any other real."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if value is None or value != value:
+        return ""
+    return repr(float(value))
+
+
+def write_csv_cells(path, header, columns):
+    """A CSV file cell by cell: every cell of ``np.asarray(col).tolist()``
+    through :func:`csv_cell`, the rows through ``csv.writer``."""
+    cells = [[csv_cell(v) for v in np.asarray(col).tolist()] for col in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))

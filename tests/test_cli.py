@@ -149,12 +149,25 @@ def test_config_file_may_name_every_option(tmp_path, monkeypatch, command, file_
     ("table1", {"dims": []}),  # an empty grid would write a table of no rows
     ("table1", {"ks": []}),
     ("table2", {"norms": []}),
+    # a count or a seed out of range is refused on its flag, before any run
+    ("examples", {"which": "1", "steps": 0}),
+    ("examples", {"which": "1", "batch": 0}),
+    ("examples", {"which": "1", "seed": -1}),
+    ("table1", {"samples": -1}),
+    ("table1", {"seed": -1}),
+    ("table2", {"samples": -1}),
+    ("table2", {"seed": -1}),
+    ("diagnose", {"problem": "example1", "steps": 0}),  # was alpha = 1/sqrt(0)
+    ("diagnose", {"problem": "example1", "steps": -4}),
+    ("diagnose", {"problem": "example1", "batch": 0}),
+    ("diagnose", {"problem": "example1", "seed": -1}),
 ])
-def test_ill_typed_config_values_are_rejected(tmp_path, command, file_cfg):
+def test_ill_typed_config_values_are_rejected(tmp_path, capsys, command, file_cfg):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(file_cfg))
     assert _run(command, "--config", cfg, "--out", tmp_path / "run") == 1
     assert not (tmp_path / "run").exists()
+    assert list(file_cfg)[-1] in capsys.readouterr().err  # the message names the bad key
 
 
 def test_bare_config_flag_is_config_error(tmp_path):

@@ -51,6 +51,7 @@ from oracles import (
     expected_clipped_inner_enum,
     mixture_draws,
     phi_cdf,
+    score_block,
     std_error_two_pass,
     transport_cost_lp,
 )
@@ -980,14 +981,15 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
     iterates[3 * 8 + 6] = -p.atoms[5]  # v = -a exactly, in the fourth slice
     assert CLOUD3.optimum.tolist() == [0.0, 0.0, 0.0]  # so gradients are the iterates
     traj = Trajectory(CLOUD3, run.config, 0.0, iterates, run.clipped_means)
-    score_block = diagnostics._score_block
+    score_signs = diagnostics._score_signs
     sliced_rows = []
 
-    def counted(v2, A, a2, c, sign, *args):
-        sliced_rows.append((A.shape[0], sign))  # list.append is atomic
-        return score_block(v2, A, a2, c, sign, *args)
+    def counted(v2, A, a2, c, *args):
+        for sign in (1.0, -1.0):  # one call scores both signs
+            sliced_rows.append((A.shape[0], sign))  # list.append is atomic
+        return score_signs(v2, A, a2, c, *args)
 
-    monkeypatch.setattr(diagnostics, "_score_block", counted)
+    monkeypatch.setattr(diagnostics, "_score_signs", counted)
     monkeypatch.setattr(noise, "_SLICE_DOUBLES", 8 * 8)
     ledger = descent_ledger(traj, wasserstein=True)
     # pool workers finish slices in any order, so compare the sizes sorted
@@ -1010,6 +1012,86 @@ def test_ledger_slices_match_the_per_step_functions(monkeypatch):
     assert np.array_equal(ledger.e_p, whole.e_p)
     assert np.array_equal(ledger.e_p_tilde, whole.e_p_tilde)
     assert np.array_equal(ledger.w_bound, whole.w_bound)
+
+
+# v and a with v2 + 2<v, a> + a2 rounding to -4.4e-16: a clamp to 0 and
+# the score of a pair at the origin
+NEAR_V = [-0.056064439045617594, 0.7468856162565439, -1.8473247989741095]
+NEAR_A = [0.05606443904561757, -0.7468856162565435, 1.8473247989741082]
+
+
+def _kernel_slice(scale):
+    """Seven rows against 40 atoms in 3-D, scaled by ``scale``: random
+    pairs, v = -a and v = a exactly, and a pair whose squared norm for
+    xi = a rounds below 0."""
+    rng = np.random.default_rng(17)
+    V = rng.normal(size=(7, 3))
+    atoms = rng.normal(size=(40, 3)) * 0.8
+    atoms[3] = -V[2]  # s(a) at the origin
+    atoms[4] = V[5]  # s(-a) at the origin
+    V[1], atoms[6] = NEAR_V, NEAR_A
+    return V * scale, atoms * scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 300, 2.0 ** -300])
+def test_fused_scores_match_the_per_sign_oracle(scale):
+    V, atoms = _kernel_slice(scale)
+    c = 1.0 * scale
+    v2 = vectors._row_dots(V, V)[:, None]
+    a2 = vectors._row_dots(atoms, atoms)
+    A = np.matmul(V, np.ascontiguousarray(atoms.T))
+    assert (v2 + 2.0 * A + a2)[1, 6] < 0.0  # the rounding case is real
+    work, plus, minus = (np.empty_like(A) for _ in range(3))
+    diagnostics._score_signs(v2, A.copy(), a2, c, work, plus, minus)
+    want_plus = score_block(v2, A, a2, c, 1.0)
+    want_minus = score_block(v2, A, a2, c, -1.0)
+    assert want_plus[2, 3] == 0.0 and want_minus[5, 4] == 0.0 and want_plus[1, 6] == 0.0
+    assert plus.tobytes() == want_plus.tobytes()
+    assert minus.tobytes() == want_minus.tobytes()
+
+    # with every squared norm above 0 the clamp and the mask are skipped
+    keep = [0, 3, 4, 5, 6]
+    A, v2 = A[keep][:, 7:], v2[keep]
+    assert min((v2 + 2.0 * A + a2[7:]).min(), (v2 - 2.0 * A + a2[7:]).min()) > 0.0
+    diagnostics._score_signs(v2, A.copy(), a2[7:], c, work[:5, 7:], plus[:5, 7:],
+                             minus[:5, 7:])
+    assert plus[:5, 7:].tobytes() == score_block(v2, A, a2[7:], c, 1.0).tobytes()
+    assert minus[:5, 7:].tobytes() == score_block(v2, A, a2[7:], c, -1.0).tobytes()
+
+
+def test_fused_scores_take_the_oracles_path_on_a_nan():
+    V, atoms = _kernel_slice(1.0)
+    V[4, 0] = np.nan
+    v2 = vectors._row_dots(V, V)[:, None]
+    a2 = vectors._row_dots(atoms, atoms)
+    A = np.matmul(V, atoms.T)
+    work, plus, minus = (np.empty_like(A) for _ in range(3))
+    diagnostics._score_signs(v2, A.copy(), a2, 1.0, work, plus, minus)
+    np.testing.assert_array_equal(plus, score_block(v2, A, a2, 1.0, 1.0))
+    np.testing.assert_array_equal(minus, score_block(v2, A, a2, 1.0, -1.0))
+    assert plus[2, 3] == 0.0 and np.isnan(plus[4]).all()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 300, 2.0 ** -300])
+@pytest.mark.parametrize("transport", [True, False], ids=["transport", "no-transport"])
+def test_reflected_scores_match_the_per_sign_oracle(monkeypatch, scale, transport):
+    # one slice of all seven rows, so the product is the same GEMM call
+    V, atoms = _kernel_slice(scale)
+    weights = np.random.default_rng(4).random(40)
+    emp = Empirical(atoms, weights / weights.sum())
+    monkeypatch.setattr(noise, "_SLICE_DOUBLES", 7 * 40)
+    e_plus, e_minus, w_gap = diagnostics._reflected_scores(V, emp, scale, transport)
+    v2 = vectors._row_dots(V, V)[:, None]
+    A = np.matmul(V, np.ascontiguousarray(atoms.T))
+    plus, minus = (score_block(v2, A, vectors._row_dots(atoms, atoms), scale, sign)
+                   for sign in (1.0, -1.0))
+    assert e_plus.tobytes() == np.multiply(plus, emp.weights).sum(axis=-1).tobytes()
+    assert e_minus.tobytes() == np.multiply(minus, emp.weights).sum(axis=-1).tobytes()
+    if transport:
+        want = diagnostics._transport_rows(plus, emp.weights, minus, emp.weights)
+        assert w_gap.tobytes() == want.tobytes()
+    else:
+        assert np.isnan(w_gap).all()
 
 
 MIXTURE = make_synthetic_mixture()  # 10 000 atoms in 10-D
@@ -1111,21 +1193,21 @@ def test_ledger_errors_surface_and_stop_the_other_workers(monkeypatch):
     # the slice it already holds, not the rest of the 20; the next ledger
     # keeps every bit.
     traj = _ledger_run(MIXTURE, [0.0] * 10, steps=120)
-    score_block = diagnostics._score_block
+    score_signs = diagnostics._score_signs
     slices = itertools.count(1)  # next() on it is atomic across threads
 
-    def failing(v2, A, a2, c, sign, n2, out):
-        if sign > 0.0 and next(slices) == 5:
+    def failing(v2, A, a2, c, work, plus, minus):
+        if next(slices) == 5:
             raise RuntimeError("the fifth slice failed")
-        score_block(v2, A, a2, c, sign, n2, out)
+        score_signs(v2, A, a2, c, work, plus, minus)
 
     with _pool_of(monkeypatch, 3):
         want = _ledger_bytes(descent_ledger(traj, wasserstein=True))
-        monkeypatch.setattr(diagnostics, "_score_block", failing)
+        monkeypatch.setattr(diagnostics, "_score_signs", failing)
         with pytest.raises(RuntimeError, match="the fifth slice failed"):
             descent_ledger(traj, wasserstein=True)
         assert next(slices) - 1 <= 5 + 2
-        monkeypatch.setattr(diagnostics, "_score_block", score_block)
+        monkeypatch.setattr(diagnostics, "_score_signs", score_signs)
         assert _ledger_bytes(descent_ledger(traj, wasserstein=True)) == want
 
 
