@@ -336,14 +336,11 @@ def cmd_diagnose(cfg, argv):
 
 
 def cmd_calibrate(cfg, argv):
-    try:
-        budget = PrivacyBudget(
-            epsilon=cfg["epsilon"], delta=cfg["delta"], n=cfg["n"], T=cfg["T"],
-            m=cfg["m"], u=cfg["uconst"], v=cfg["vconst"],
-        )
-        sigma = calibrate_sigma(budget, cfg["clip"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    budget = PrivacyBudget(
+        epsilon=cfg["epsilon"], delta=cfg["delta"], n=cfg["n"], T=cfg["T"],
+        m=cfg["m"], u=cfg["uconst"], v=cfg["vconst"],
+    )
+    sigma = calibrate_sigma(budget, cfg["clip"])
     payload = {
         "epsilon": budget.epsilon,
         "delta": budget.delta,

@@ -11,11 +11,13 @@ an explicit bias integral b = E_p[s] - E_ptilde[s], and |b| is capped
 by a Wasserstein distance whose ground cost is |s(a) - s(b)|, which
 collapses to a 1-D transport problem on the score line.
 
-Routes read a model's arrays, never its class: models whose scales are
-all 0 are integrated exactly (finite weighted sums), the rest by Monte
-Carlo with a standard error. Functions that promise an inequality check
-it internally and raise :class:`CheckFailure` when the data contradicts
-it beyond 3 standard errors.
+Every expectation of a clip goes through one route function,
+``_clipped_mean``, which reads a model's scales, never its class: atom
+clouds (every scale 0) are summed exactly, 1-D models whose scales are
+all positive by the censored normal mean, the rest by Monte Carlo with a
+standard error. Functions that promise an inequality check it internally
+and raise :class:`CheckFailure` when the data contradicts it beyond 3
+standard errors.
 """
 
 from dataclasses import dataclass
@@ -72,43 +74,51 @@ def clip_scores(v, noises, c):
     A 1-D ``noises`` holds scalar noises, so it needs a 1-D ``v``.
     """
     v = as_vector(v)
-    return _row_dots(_clip_shifted(v, noises, c), v)
-
-
-def _clip_shifted(v, noises, c):
-    """clip(v + xi, c) for every row xi of ``noises``, which must have the
-    dim of ``v``: the exact routes check it here."""
     noises = np.asarray(noises, dtype=np.float64)
     if noises.ndim == 1:
         noises = noises[:, None]
     _check_dims(v, noises.shape[1])
-    return clip_batch(v[None, :] + noises, c)
+    return _row_dots(clip_batch(v + noises, c), v)
 
 
 def expected_clipped_inner(v, model, c, stream=None, mc_samples=0):
-    """E[s(xi)] for xi ~ model, as ``(value, std_error)``.
-
-    Models whose scales are all 0 are summed exactly (std_error 0). The
-    rest, or any with ``mc_samples``, use Monte Carlo draws from ``stream``.
-    """
+    """E[s(xi)] for xi ~ model, as ``(value, std_error)``, by :func:`_clipped_mean`."""
     v = as_vector(v)
-    if not (mc_samples or model.scales.any()):
-        scores = clip_scores(v, model.centers, c)
-        return float(_weighted_sum(scores, model.weights)), 0.0
-    _check_dims(v, model.dim)
-    return noise_mod._mc_moments(
-        model, stream, mc_samples, lambda xi: _row_dots(_clip_rows(v + xi, c), v)
-    )
+    return _clipped_mean(model, c, stream, mc_samples, shift=v, onto=v)
 
 
 def expected_clipped_gradient(v, model, c, stream=None, mc_samples=0):
-    """E[clip(v + xi, c)] as ``(vector, std_error_vector)``."""
-    v = as_vector(v)
-    if not (mc_samples or model.scales.any()):
-        clipped = np.ascontiguousarray(_clip_shifted(v, model.centers, c).T)
-        return _weighted_sum(clipped, model.weights), np.zeros(v.shape[0])
-    _check_dims(v, model.dim)
-    return noise_mod._mc_moments(model, stream, mc_samples, lambda xi: _clip_rows(v + xi, c))
+    """E[clip(v + xi, c)] as ``(vector, std_error_vector)``, by :func:`_clipped_mean`."""
+    return _clipped_mean(model, c, stream, mc_samples, shift=as_vector(v))
+
+
+def _clipped_mean(model, c, stream, mc_samples, shift=None, onto=None):
+    """E[clip(shift + xi, c)] for xi ~ model, or its inner product with
+    ``onto``, as ``(value, std_error)``: the one place a route is picked,
+    by the model's scales. Without ``mc_samples``, atoms (every scale 0)
+    are summed exactly, and a 1-D model whose scales are all positive by
+    :func:`censored_normal_clip_mean`, a component at a time; the rest go
+    to Monte Carlo. Every route has one row map: the clip, then the
+    projection on ``onto``, which the closed form takes after its sum.
+    """
+    _check_dims(onto if shift is None else shift, model.dim)
+
+    def project(clipped):
+        return clipped if onto is None else _row_dots(clipped, onto)
+
+    def row_map(xi):
+        return project(_clip_rows(xi if shift is None else shift + xi, c))
+
+    scales = model.scales
+    if not (mc_samples or scales.any()):
+        value = _weighted_sum(np.ascontiguousarray(row_map(model.centers).T), model.weights)
+    elif not mc_samples and model.dim == 1 and scales.all():
+        centers = model.centers if shift is None else shift + model.centers
+        means = censored_normal_clip_mean(centers[:, 0], scales, c)
+        value = project(np.reshape(_weighted_sum(means, model.weights), (1, 1)))[0]
+    else:
+        return noise_mod._mc_moments(model, stream, mc_samples, row_map)
+    return (float(value), 0.0) if np.ndim(value) == 0 else (value, np.zeros(value.shape))
 
 
 def assert_symmetric(model):
@@ -147,12 +157,16 @@ def symmetric_lower_bound(v, model, c, z=0.25, stream=None, mc_samples=0):
     v = as_vector(v)
     _check_z(z)
     assert_symmetric(model)
-    prob = prob_norm_below(model, z * c)[0]
+    return _check_dominates(_floor_report(v, model, model, c, z, stream, mc_samples))
+
+
+def _floor_report(v, model, floor_model, c, z, stream, mc_samples):
+    """E[s] for xi ~ model next to the floor
+    ||v|| * min(||v||, (1-z)c) * P(||zeta|| < z*c) for zeta ~ floor_model."""
+    prob = prob_norm_below(floor_model, z * c)[0]
     lower = descent_function(norm(v), c, z) * prob
     est, se = expected_clipped_inner(v, model, c, stream=stream, mc_samples=mc_samples)
-    report = BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
-    _check_dominates(report)
-    return report
+    return BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
 
 
 def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=0):
@@ -192,18 +206,11 @@ def mixture_lower_bound(v, gradient_mixture, c, z=0.25, stream=None, mc_samples=
         terms = mix.weights[aligned] * np.minimum(cnorms[aligned], (1.0 - z) * c) * cos_align
         lower = nv * float(np.sum(terms * prob_terms[aligned]))
 
-    est, se = noise_mod._mc_moments(
-        mix, stream, mc_samples, lambda g: _row_dots(_clip_rows(g, c), v)
+    est, se = _clipped_mean(mix, c, stream, mc_samples, onto=v)
+    prob = float(_weighted_sum(prob_terms, mix.weights))
+    return _check_dominates(
+        BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
     )
-    report = BoundReport(
-        estimate=est,
-        std_error=se,
-        lower_bound=lower,
-        prob_term=float(_weighted_sum(prob_terms, mix.weights)),
-        z=z,
-    )
-    _check_dominates(report)
-    return report
 
 
 def clipping_bias(v, p, q, c):
@@ -279,17 +286,17 @@ def descent_function(y, c, z=0.25):
 def censored_normal_clip_mean(mean, scale, c):
     """E[clip(X, c)] for scalar X ~ N(mean, scale^2), exact.
 
-    ``mean`` may be an array of means, which gives an array of values,
+    ``mean`` and ``scale`` may be arrays, which gives an array of values,
     each equal to the scalar call. Tail masses sit at -c and c; the
     interior contributes the usual truncated-normal mean terms.
     """
     from scipy import special  # see the note in clipbias.noise
 
     mean = np.asarray(mean, dtype=np.float64)
-    scale = float(scale)
+    scale = np.asarray(scale, dtype=np.float64)
     c = float(c)
-    if scale <= 0.0 or not np.isfinite(scale):
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if not np.all((scale > 0.0) & (scale < np.inf)):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     _check_threshold(c)
     with np.errstate(over="ignore"):  # far tails: a * a is inf and phi is 0
         a = (-c - mean) / scale
@@ -309,27 +316,17 @@ def perturbation_gap(v, model, c, k, z=0.25, stream=None, mc_samples=0):
     """E[s] under noise xi + k*zeta next to the perturbation lower bound
     ||v|| * min(||v||, (1-z)c) * P(||k*zeta|| < z*c).
 
-    For 1-D noise whose scales are all 0 the estimate is exact via the
-    censored normal mean; otherwise, or with ``mc_samples``, it is Monte Carlo.
+    The estimate is :func:`expected_clipped_inner` on ``perturb(model, k)``,
+    whose scales are all positive: exact for 1-D noise, Monte Carlo in
+    higher dims or with ``mc_samples``.
     """
     v = as_vector(v)
     _check_z(z)
     k = float(k)
     if not 0.0 < k < np.inf:
         raise ValueError(f"perturbation scale k must be a positive real, got {k}")
-    dim = v.shape[0]
-    _check_dims(v, model.dim)
-    prob = prob_norm_below(IsotropicGaussian(k, dim), z * c)[0]
-    lower = descent_function(norm(v), c, z) * prob
-    if dim == 1 and not (mc_samples or model.scales.any()):
-        vs = float(v[0])
-        means = censored_normal_clip_mean(vs + model.centers[:, 0], k, c)
-        est = vs * float(_weighted_sum(means, model.weights))
-        return BoundReport(estimate=est, std_error=0.0, lower_bound=lower, prob_term=prob, z=z)
-    est, se = expected_clipped_inner(
-        v, noise_mod.perturb(model, k), c, stream=stream, mc_samples=mc_samples
-    )
-    return BoundReport(estimate=est, std_error=se, lower_bound=lower, prob_term=prob, z=z)
+    floor = IsotropicGaussian(k, v.shape[0])
+    return _floor_report(v, noise_mod.perturb(model, k), floor, c, z, stream, mc_samples)
 
 
 @dataclass
@@ -606,9 +603,11 @@ def _check_z(z):
 
 
 def _check_dominates(report):
+    """``report``, unless its estimate undercuts its bound by over 3 standard errors."""
     slack = 3.0 * report.std_error + 1e-12
     if report.estimate < report.lower_bound - slack:
         raise CheckFailure(
             f"estimate {report.estimate} undercuts lower bound "
             f"{report.lower_bound} beyond 3 standard errors ({report.std_error})"
         )
+    return report

@@ -375,15 +375,18 @@ def prob_norm_below(model, radius, stream=None, mc_samples=0):
     (std_error 0.0): weight sums for atom clouds, chi-square for
     Gaussians, noncentral chi-square for shifted spherical components.
     With ``mc_samples > 0`` the value is a Monte Carlo fraction drawn
-    from ``stream`` instead, kept as an independent cross-check.
+    from ``stream`` instead, kept as an independent cross-check, with the
+    standard error of ``_mc_moments``, sqrt(p(1 - p)/(n - 1)) for n draws.
     """
     radius = float(radius)
     if not np.isfinite(radius) or radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if mc_samples:
-        p, _ = _mc_moments(model, stream, mc_samples, lambda x: _norms(x)[0] < radius)
-        return p, float(np.sqrt(p * (1.0 - p) / int(mc_samples)))
-    return _prob_norm_exact(model, radius), 0.0
+        return _mc_moments(model, stream, mc_samples, lambda x: _norms(x)[0] < radius)
+    terms = model.weights * _ball_mass(radius, row_norms(model.centers), model.scales, model.dim)
+    # Only the nonzero terms are summed: zeros would regroup numpy's
+    # pairwise sum and move the last bit of an atom cloud's weight sum.
+    return float(np.sum(terms[terms != 0.0])), 0.0
 
 
 def _mc_moments(model, stream, mc_samples, row_map):
@@ -483,13 +486,6 @@ def _mc_moments(model, stream, mc_samples, row_map):
     if np.ndim(mean) == 0:
         return float(mean), float(se)
     return mean, se
-
-
-def _prob_norm_exact(model, radius):
-    terms = model.weights * _ball_mass(radius, row_norms(model.centers), model.scales, model.dim)
-    # Only the nonzero terms are summed: zeros would regroup numpy's
-    # pairwise sum and move the last bit of an atom cloud's weight sum.
-    return float(np.sum(terms[terms != 0.0]))
 
 
 def _ball_mass(radius, shifts, scales, dim):

@@ -26,8 +26,8 @@ import numpy as np
 from . import noise as noise_mod
 from ._files import write_csv
 from .noise import SeededStream, normals_from_uniforms
-from .privacy import calibrate_sigma
-from .vectors import as_vector, clip_batch, row_norms
+from .privacy import _check_count, calibrate_sigma
+from .vectors import _check_threshold, as_vector, clip_batch, row_norms
 
 __all__ = [
     "OptimizerConfig",
@@ -71,12 +71,10 @@ class OptimizerConfig:
         object.__setattr__(self, "x0", tuple(float(v) for v in np.atleast_1d(self.x0)))
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0.0 < self.clip < np.inf:
-            raise ValueError(f"clip must be finite and > 0, got {self.clip}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.batch is not None and self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        _check_threshold(self.clip)
+        _check_count("steps", self.steps)
+        if self.batch is not None:
+            _check_count("batch", self.batch)
         if self.sigma is not None and not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.k < np.inf:
@@ -139,7 +137,7 @@ def clipped_sgd(problem, config):
         raise ValueError("clipped_sgd requires sigma = 0; use dp_sgd")
     if config.k != 0.0:
         raise ValueError("clipped_sgd requires k = 0; use dp_sgd_perturbed")
-    return _recorded_runs(problem, config, 0.0, 0.0, [config.seed])[0]
+    return _recorded_runs(problem, config, 0.0, [config.seed])[0]
 
 
 def dp_sgd(problem, config, budget=None):
@@ -150,13 +148,12 @@ def dp_sgd(problem, config, budget=None):
     """
     if config.k != 0.0:
         raise ValueError("dp_sgd requires k = 0; use dp_sgd_perturbed")
-    return _recorded_runs(problem, config, _resolve_sigma(config, budget), 0.0, [config.seed])[0]
+    return _recorded_runs(problem, config, _resolve_sigma(config, budget), [config.seed])[0]
 
 
 def dp_sgd_perturbed(problem, config, budget=None):
     """DP-SGD with fresh per-sample noise k * zeta added before clipping."""
-    sigma = _resolve_sigma(config, budget)
-    return _recorded_runs(problem, config, sigma, config.k, [config.seed])[0]
+    return _recorded_runs(problem, config, _resolve_sigma(config, budget), [config.seed])[0]
 
 
 def final_iterates(problem, config, seeds, budget=None):
@@ -170,7 +167,7 @@ def final_iterates(problem, config, seeds, budget=None):
     seeds = list(seeds)
     if not seeds:
         return np.empty((0, problem.dim))
-    return _engine(problem, config, sigma, config.k, seeds, record=False)[0]
+    return _engine(problem, config, sigma, seeds, record=False)[0]
 
 
 def trajectories(problem, config, seeds):
@@ -181,7 +178,7 @@ def trajectories(problem, config, seeds):
     bit-identical to a single run with ``seed = seeds[r]``, whose config
     it carries.
     """
-    return _recorded_runs(problem, config, _resolve_sigma(config, None), config.k, list(seeds))
+    return _recorded_runs(problem, config, _resolve_sigma(config, None), list(seeds))
 
 
 def _resolve_sigma(config, budget):
@@ -194,22 +191,21 @@ def _resolve_sigma(config, budget):
 
 def dp_step_size(gap, dim, budget, c, smoothness=1.0):
     """Step size sqrt(gap * dim * ln(1/delta)) / (n * eps * c * sqrt(smoothness))."""
-    gap = float(gap)
-    c = float(c)
-    if gap < 0.0:
-        raise ValueError(f"optimality gap must be >= 0, got {gap}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if c <= 0.0 or smoothness <= 0.0:
-        raise ValueError("c and smoothness must be > 0")
+    gap, c, smoothness = float(gap), float(c), float(smoothness)
+    if not 0.0 <= gap < np.inf:
+        raise ValueError(f"optimality gap must be finite and >= 0, got {gap}")
+    _check_count("dim", dim)
+    _check_threshold(c)
+    if not 0.0 < smoothness < np.inf:
+        raise ValueError(f"smoothness must be finite and > 0, got {smoothness}")
     num = np.sqrt(gap * dim * np.log(1.0 / budget.delta))
     return float(num / (budget.n * budget.epsilon * c * np.sqrt(smoothness)))
 
 
-def _recorded_runs(problem, config, sigma, k, seeds):
+def _recorded_runs(problem, config, sigma, seeds):
     if not seeds:
         return []
-    _, xs, gms = _engine(problem, config, sigma, k, seeds, record=True)
+    _, xs, gms = _engine(problem, config, sigma, seeds, record=True)
     runs = []
     for r, seed in enumerate(seeds):
         runs.append(Trajectory(
@@ -219,7 +215,7 @@ def _recorded_runs(problem, config, sigma, k, seeds):
     return runs
 
 
-def _engine(problem, config, sigma, k, seeds, record):
+def _engine(problem, config, sigma, seeds, record):
     """Run the update rule for every seed in lockstep.
 
     Noise is pre-drawn in blocks of steps from each seed's substreams,
@@ -233,6 +229,7 @@ def _engine(problem, config, sigma, k, seeds, record):
     """
     R = len(seeds)
     T = config.steps
+    k = config.k
     d = problem.dim
     n = problem.n
     m = n if config.batch is None else int(config.batch)

@@ -9,6 +9,7 @@ are configuration inputs, not derived here.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = ["PrivacyBudget", "calibrate_sigma", "check_epsilon_regime"]
@@ -41,14 +42,23 @@ class PrivacyBudget:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if not 1 <= self.m <= self.n:
+        _check_count("n", self.n)
+        _check_count("T", self.T)
+        if _check_count("m", self.m) > self.n:
             raise ValueError(f"batch size m must satisfy 1 <= m <= n, got m={self.m}, n={self.n}")
         if not self.u > 0.0 or not self.v > 0.0:
             raise ValueError("constants u and v must be > 0")
+
+
+def _check_count(name, value):
+    """``value``, or a ValueError naming the field unless it is an integer
+    (numpy's too) of at least 1."""
+    try:
+        if operator.index(value) >= 1:
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def calibrate_sigma(budget, c):

@@ -96,12 +96,12 @@ def norm(v):
 
 
 def inner(a, b):
-    """Dot product of two vectors of equal dim."""
+    """Dot product of two vectors of equal dim, by the row dot rule."""
     a = as_vector(a)
     b = as_vector(b)
     if a.shape != b.shape:
         raise ValueError(f"dim mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
+    return float(_row_dots(a[None, :], b)[0])
 
 
 def cosine(a, b):

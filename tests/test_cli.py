@@ -222,6 +222,31 @@ def test_table1_small_grid(tmp_path):
     assert est == pytest.approx(10.0, rel=0.02)
 
 
+def test_table1_exact_one_dimensional_cells(tmp_path):
+    # d = 1 cells have a closed form, so --samples 0 reports them exactly
+    out = tmp_path / "t1"
+    assert _run("table1", "--dims", 1, "--ks", "1,10,100", "--samples", 0, "--out", out) == 0
+    with open(out / "table1.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["estimate"] for row in rows] == ["10.0", "6.818837290485831", "0.7965435139868221"]
+    assert {row["std_error"] for row in rows} == {"0.0"}
+
+
+def test_table1_without_samples_needs_an_exact_route(tmp_path, capsys):
+    # the default grid's d > 1 cells have no closed form yet
+    assert _run("table1", "--samples", 0, "--out", tmp_path / "t1") == 1
+    assert "no exact route here" in capsys.readouterr().err
+
+
+def test_table2_exact_without_samples(tmp_path):
+    out = tmp_path / "t2"
+    assert _run("table2", "--samples", 0, "--out", out) == 0
+    with open(out / "table2.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    assert {(row["std_error"], row["check"]) for row in rows} == {("0.0", "pass")}
+
+
 def test_table2_failure_exit_code(tmp_path, monkeypatch):
     import clipbias.cli as cli_mod
     from clipbias.diagnostics import CheckFailure

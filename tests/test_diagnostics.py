@@ -165,6 +165,38 @@ def test_expected_inner_monte_carlo_route_agrees():
     assert abs(mc - exact) < 3 * se
 
 
+@pytest.mark.parametrize("model", [
+    IsotropicGaussian(0.5, 1),
+    IsotropicGaussian(2.0, 1),
+    perturb(RES1, 2.0),
+    SphericalMixture([0.2, 0.5, 0.3], [[-1.0], [0.5], [3.0]], [0.3, 1.0, 2.5]),
+], ids=["gauss-0.5", "gauss-2", "perturbed-cloud", "mixture"])
+def test_one_dimensional_smoothed_routes_are_exact(model):
+    # A 1-D model whose scales are all positive is summed by the censored
+    # normal mean, one component at a time, with no draws.
+    c = 1.0
+    for v in (0.3, -1.7, 4.0):
+        want = math.fsum(
+            w * censored_mean_quadrature(v + a, s, c)
+            for w, a, s in zip(model.weights, model.centers[:, 0], model.scales)
+        )
+        inner, se = expected_clipped_inner([v], model, c)
+        assert se == 0.0
+        assert inner == pytest.approx(v * want, abs=1e-10)
+        vec, se_vec = expected_clipped_gradient([v], model, c)
+        assert vec.shape == se_vec.shape == (1,) and se_vec[0] == 0.0
+        assert vec[0] == pytest.approx(want, abs=1e-10)
+
+
+def test_one_dimensional_mixed_scales_need_monte_carlo():
+    # one atom beside one normal has no closed form here
+    model = SphericalMixture([0.5, 0.5], [[0.0], [1.0]], [0.0, 1.0])
+    for route in (expected_clipped_inner, expected_clipped_gradient):
+        with pytest.raises(ValueError, match="no exact route here"):
+            route([0.5], model, 1.0)
+        route([0.5], model, 1.0, stream=SeededStream(0, 0), mc_samples=100)
+
+
 def _record_sample_counts(monkeypatch):
     """Patch SphericalMixture._from_rows, which builds the draws of one
     slice of Monte Carlo uniforms, to log (model, draws) of every call."""
@@ -721,6 +753,19 @@ def test_mixture_bound_precondition_errors():
         mixture_lower_bound([0.5, 0.0], bad, 1.0)
 
 
+def test_mixture_bound_on_atoms_is_exact():
+    # every scale 0: the estimate is the weighted sum over the atoms,
+    # 0.25 * <v, clip((2, 0), 1)> + 0.75 * <v, (0.5, 0)>, with no draws
+    mix = SphericalMixture([0.25, 0.75], [[2.0, 0.0], [0.5, 0.0]], [0.0, 0.0])
+    v = [0.875, 0.0]
+    exact = mixture_lower_bound(v, mix, 1.0)
+    assert (exact.estimate, exact.std_error) == (0.25 * 0.875 + 0.75 * 0.4375, 0.0)
+    assert exact.lower_bound == pytest.approx(0.4921875, abs=1e-12)
+    mc = mixture_lower_bound(v, mix, 1.0, stream=SeededStream(5, 0), mc_samples=20_000)
+    assert mc.std_error > 0.0
+    assert abs(mc.estimate - exact.estimate) < 3 * mc.std_error
+
+
 # ---------------------------------------------------------------------------
 # bias and Wasserstein
 
@@ -847,6 +892,18 @@ def test_perturbation_gap_point_mass_respects_bound():
     # ||v||^2 overflows here; the bound is the linear branch
     report = perturbation_gap([1e200], Empirical([[0.1]]), 1.0, 1.0)
     assert np.isfinite(report.lower_bound) and report.margin >= 0.0
+
+
+def test_perturbation_gap_keeps_the_censored_mean_bits():
+    # The shared route sums the censored normal means of v + a over the
+    # atoms, then projects on v: the bits of the formula stated directly.
+    for k in (2.0, 4.0, 8.0, 16.0):
+        for v in (0.1, -0.7, 3.0):
+            means = censored_normal_clip_mean(v + RES1.atoms[:, 0], k, 1.0)
+            want = v * float(diagnostics._weighted_sum(means, RES1.weights))
+            got = perturbation_gap([v], RES1, 1.0, k)
+            assert np.float64(got.estimate).tobytes() == np.float64(want).tobytes()
+            assert got.std_error == 0.0
 
 
 def test_perturbation_gap_tiny_k_has_unit_ball_mass():

@@ -46,6 +46,11 @@ def test_config_validation():
     for name in ("alpha", "clip", "sigma", "k"):
         with pytest.raises(ValueError, match=name):
             _cfg(**{name: math.inf})
+    # counts are integers, numpy's too; a fraction is refused by name
+    for name, value in (("steps", 2.5), ("batch", 1.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _cfg(**{name: value})
+    assert _cfg(steps=np.int64(3), batch=np.int32(1)).steps == 3
 
 
 def test_clipped_sgd_rejects_noise_flags():
@@ -311,6 +316,16 @@ def test_dp_step_size_examples():
     b20 = PrivacyBudget(epsilon=1.0, delta=math.exp(-1.0), n=20, T=1, m=20)
     assert dp_step_size(4.0, 1, b20, 1.0) == pytest.approx(0.1, abs=1e-15)
     assert dp_step_size(4.0, 1, b10, 2.0) == pytest.approx(0.1, abs=1e-15)
+    # a non-finite or out-of-range input is refused, not turned into NaN or 0
+    gap, smooth, dim = "gap must be finite", "smoothness must be finite", "dim must be an integer"
+    for bad, message in (
+        (dict(c=math.nan), "clip threshold"), (dict(c=math.inf), "clip threshold"),
+        (dict(c=0.0), "clip threshold"), (dict(gap=math.nan), gap), (dict(gap=-1.0), gap),
+        (dict(smoothness=math.inf), smooth), (dict(smoothness=0.0), smooth),
+        (dict(dim=0), dim), (dict(dim=1.5), dim),
+    ):
+        with pytest.raises(ValueError, match=message):
+            dp_step_size(**(dict(gap=4.0, dim=1, budget=b10, c=1.0) | bad))
 
 
 def test_trajectory_csv_layout(tmp_path):

@@ -70,6 +70,11 @@ def test_budget_validation():
         _budget(T=0)
     with pytest.raises(ValueError):
         _budget(n=0)
+    # counts are integers, numpy's too; a fraction is refused by name
+    for name, value in (("n", 10.5), ("T", 2.5), ("m", 3.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            _budget(**{name: value})
+    assert _budget(n=np.int64(10), T=np.int32(2), m=np.int64(3)).T == 2
 
 
 def test_epsilon_regime():

@@ -57,6 +57,15 @@ def test_inner_and_cosine():
         vectors.cosine([0.0, 0.0], [1.0, 0.0])
 
 
+def test_inner_is_the_row_dot_rule():
+    # one dot-product rule: a BLAS dot splits its sum differently
+    rng = np.random.default_rng(0)
+    for n in (3, 17, 100, 1000, 10_000, 100_000):
+        a, b = rng.normal(size=(2, n))
+        got = vectors.inner(a, b)
+        assert np.float64(got).tobytes() == vectors._row_dots(a[None], b)[:1].tobytes()
+
+
 @pytest.mark.parametrize("dim", [8192, 8193, 10_000])
 def test_row_norms_read_each_row_alone(dim):
     # einsum cuts a row of more than 8192 columns where its buffers end,
